@@ -29,6 +29,15 @@ from repro import (
     build_table1,
     run_mission,
 )
+from repro.core.errors import ConfigError
+
+
+def _workers(value: str) -> int | str:
+    """``--workers`` as an int where it is one; ExecutionConfig validates it."""
+    try:
+        return int(value)
+    except ValueError:
+        return value
 
 
 def _add_mission_args(parser: argparse.ArgumentParser) -> None:
@@ -37,7 +46,7 @@ def _add_mission_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7, help="master RNG seed")
     parser.add_argument("--no-events", action="store_true",
                         help="disable the scripted mission events")
-    parser.add_argument("--workers", default="serial", metavar="N",
+    parser.add_argument("--workers", type=_workers, default="serial", metavar="N",
                         help="badge-day workers: an integer, 'serial' "
                              "(default), or 'auto' (serial on <=2 cores, "
                              "one worker per core otherwise; results are "
@@ -69,8 +78,7 @@ def _config(args: argparse.Namespace) -> MissionConfig:
 
 
 def _execution(args: argparse.Namespace) -> ExecutionConfig:
-    workers = args.workers if args.workers in ("serial", "auto") else int(args.workers)
-    return ExecutionConfig(n_workers=workers, cache_dir=args.cache,
+    return ExecutionConfig(n_workers=args.workers, cache_dir=args.cache,
                            checkpoint_dir=args.checkpoint, resume=args.resume)
 
 
@@ -677,7 +685,12 @@ def main(argv: list[str] | None = None) -> int:
     p_res.set_defaults(func=cmd_result)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        # A bad command-line value: one line, like argparse's own errors.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,27 +28,6 @@ class EnvironmentSensors:
     #: chest (cord shadowing) -- worn badges read slightly darker.
     worn_light_factor: float = 0.8
 
-    def synthesize(
-        self,
-        env: Environment,
-        plan: FloorPlan,
-        badge_room: np.ndarray,
-        worn: np.ndarray,
-        active: np.ndarray,
-        t_abs: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns ``(temperature_c, pressure_hpa, light_lux)`` per frame.
-
-        NaN wherever the badge is inactive.  Deprecated thin wrapper
-        (batch of 1) around :meth:`synthesize_fleet`; prefer the fleet
-        call when synthesizing several badges.
-        """
-        temp, pressure, light = self.synthesize_fleet(
-            env, plan, badge_room[None], worn[None], active[None], t_abs, (rng,)
-        )
-        return temp[0], pressure[0], light[0]
-
     def synthesize_fleet(
         self,
         env: Environment,

@@ -104,42 +104,6 @@ class MicrophoneModel:
     def __init__(self, wall_db: float = SPEECH_WALL_DB):
         self.wall_db = float(wall_db)
 
-    def synthesize(
-        self,
-        sources: SpeechSources,
-        badge_xy: np.ndarray,
-        badge_room: np.ndarray,
-        active: np.ndarray,
-        wall_matrix: np.ndarray,
-        noise_floor_by_room: np.ndarray,
-        rng: np.random.Generator,
-    ) -> MicrophoneOutput:
-        """Compute one badge-day of microphone features.
-
-        Deprecated thin wrapper (batch of 1) around
-        :meth:`synthesize_fleet`; prefer the fleet call when synthesizing
-        several badges.
-
-        Args:
-            sources: the day's speech sources.
-            badge_xy: ``(frames, 2)`` badge positions.
-            badge_room: ``(frames,)`` badge room indices.
-            active: ``(frames,)`` recording mask.
-            wall_matrix: ``(rooms, rooms)`` wall counts.
-            noise_floor_by_room: ``(rooms,)`` ambient floor per room, dB.
-            rng: random stream.
-        """
-        fleet = self.synthesize_fleet(
-            sources, badge_xy[None], badge_room[None], active[None],
-            wall_matrix, noise_floor_by_room, (rng,),
-        )
-        return MicrophoneOutput(
-            voice_db=fleet.voice_db[0],
-            dominant_pitch_hz=fleet.dominant_pitch_hz[0],
-            pitch_stability=fleet.pitch_stability[0],
-            sound_db=fleet.sound_db[0],
-        )
-
     def synthesize_fleet(
         self,
         sources: SpeechSources,

@@ -13,7 +13,6 @@ unworn-but-active badge keeps recording from wherever it was set down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -117,24 +116,6 @@ class WearModel:
 
         badge_xy, badge_room = self._badge_whereabouts(trace, worn, at_station)
         return WearDay(worn=worn, active=active, badge_xy=badge_xy, badge_room=badge_room)
-
-    def simulate_fleet(
-        self,
-        traces: "Sequence[DayTrace]",
-        rngs: "Sequence[np.random.Generator]",
-        diligences: "Sequence[float]",
-    ) -> list[WearDay]:
-        """Wear state for a whole fleet of badges, one per trace.
-
-        Battery planning and desk-episode insertion draw data-dependent
-        counts, so each badge's draws necessarily come from its own
-        stream in sequence; batching across badges cannot change any
-        per-stream draw order.
-        """
-        return [
-            self.simulate_day(trace, rng, diligence=diligence)
-            for trace, rng, diligence in zip(traces, rngs, diligences)
-        ]
 
     # -- internals -------------------------------------------------------
 

@@ -80,8 +80,6 @@ class ExecutionConfig:
             ``os.cpu_count() <= 2``, else one worker per core.
         cache_dir: directory of the content-addressed mission cache, or
             ``None`` for no caching.
-        cache_enabled: master switch; with ``False`` the cache directory
-            is neither read nor written even if configured.
         checkpoint_dir: directory of the crash-recovery checkpoint
             journal, or ``None`` for no checkpointing.  With a journal,
             every completed day is persisted as it finishes, so a killed
@@ -100,20 +98,16 @@ class ExecutionConfig:
         pool_failure_limit: consecutive pool failures without progress
             before the supervisor gives up and the remaining days run
             serially.
-        supervisor_seed: seed of the supervisor's jitter RNG, so retry
-            schedules are reproducible.
     """
 
     n_workers: int | str = "serial"
     cache_dir: Optional[str] = None
-    cache_enabled: bool = True
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     day_deadline_s: Optional[float] = None
     max_day_retries: int = 2
     retry_backoff_s: float = 0.05
     pool_failure_limit: int = 3
-    supervisor_seed: int = 0
 
     def __post_init__(self) -> None:
         if isinstance(self.n_workers, str):
@@ -184,7 +178,7 @@ class ExecutionConfig:
     @property
     def cache_active(self) -> bool:
         """Whether a cache should actually be consulted."""
-        return self.cache_enabled and self.cache_dir is not None
+        return self.cache_dir is not None
 
     @property
     def checkpoint_active(self) -> bool:

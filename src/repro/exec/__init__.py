@@ -4,9 +4,9 @@ Everything about *how* a mission run executes — as opposed to *what* it
 computes — lives here:
 
 - :mod:`repro.exec.executor` — per-day work unit (:func:`compute_day` /
-  :class:`DayOutcome`) and the process-pool fan-out that is bit-identical
+  :class:`DayOutcome`) and the pool-worker entry points, bit-identical
   to serial execution;
-- :mod:`repro.exec.supervisor` — the production fan-out: per-day
+- :mod:`repro.exec.supervisor` — the process-pool fan-out: per-day
   deadlines, seeded-jitter retries, broken-pool recovery with salvage,
   bounded degradation to serial;
 - :mod:`repro.exec.checkpoint` — crash-recovery journal of completed
@@ -41,7 +41,6 @@ from repro.exec.executor import (
     DayOutcome,
     ExecutorUnavailable,
     compute_day,
-    run_days_parallel,
 )
 from repro.exec.hashing import (
     SCHEMA_VERSION,
@@ -68,7 +67,6 @@ __all__ = [
     "MissionCache",
     "SCHEMA_VERSION",
     "compute_day",
-    "run_days_parallel",
     "run_days_supervised",
     "sensing_fingerprint",
     "truth_compatible",

@@ -17,15 +17,18 @@ self-contained:
   replaying them in day order.
 
 :func:`compute_day` is the single source of truth for one day's work —
-the serial driver calls it inline, the process-pool workers call it in
+the serial driver calls it inline, the process-pool workers of
+:func:`repro.exec.supervisor.run_days_supervised` call it in
 :func:`_worker_day`.  Parallel execution is therefore **bit-identical**
 to serial for everything that reaches a
 :class:`~repro.analytics.dataset.BadgeDaySummary`.
 
-The one genuine cross-day coupling is fault injection: an SD-card
-capacity cap makes day ``d``'s truncation depend on the cumulative
-(post-degrade) bytes of days ``2..d-1``.  Missions with a fault plan
-therefore always run serially; :func:`run_days_parallel` refuses them.
+The one genuine cross-day coupling is sensing-level fault injection: an
+SD-card capacity cap makes day ``d``'s truncation depend on the
+cumulative (post-degrade) bytes of days ``2..d-1``.  Missions whose
+fault plan has sensing events therefore run serially, and the
+supervisor refuses them; bus- and data-level faults never touch
+:func:`compute_day`, so those missions still fan out.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.badges.pipeline import (
 from repro.badges.badge import Badge
 from repro.badges.sdcard import SdCardAccountant
 from repro.core.config import MissionConfig
-from repro.core.errors import ConfigError
 from repro.core.rng import RngRegistry, mission_sensing_registry
 from repro.crew.trace import MissionTruth
 from repro.faults.plan import FaultPlan
@@ -276,45 +278,3 @@ def _worker_day(day: int) -> DayOutcome:
     if _obs.enabled:
         outcome.telemetry = obs_export.to_dict(include_histogram_values=True)
     return outcome
-
-
-def run_days_parallel(
-    cfg: MissionConfig,
-    truth: MissionTruth,
-    models: SensingModels,
-    localizer: Localizer,
-    days: list[int],
-    n_workers: int,
-) -> dict[int, DayOutcome]:
-    """Fan ``days`` out across a process pool; returns outcomes by day.
-
-    Raises :class:`ExecutorUnavailable` when the pool cannot run here
-    (unpicklable overrides, no multiprocessing primitives, a fault plan)
-    so the caller falls back to the serial path.  Genuine errors raised
-    by the day computation itself propagate unchanged.
-    """
-    if n_workers < 2:
-        raise ConfigError("run_days_parallel needs n_workers >= 2")
-    if cfg.fault_plan is not None and cfg.fault_plan.sensing_events():
-        raise ExecutorUnavailable(
-            "sensing-fault plans couple days through the SD-card budget; run serially"
-        )
-    payload = pickle_context(cfg, truth, models, localizer)
-
-    import concurrent.futures as cf
-
-    workers = min(n_workers, max(len(days), 1))
-    try:
-        pool = cf.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(payload, _obs.enabled),
-        )
-    except (OSError, ValueError, PermissionError) as exc:
-        raise ExecutorUnavailable(f"cannot start process pool: {exc!r}") from exc
-    try:
-        with pool:
-            outcomes = list(pool.map(_worker_day, days))
-    except cf.process.BrokenProcessPool as exc:
-        raise ExecutorUnavailable(f"process pool died: {exc!r}") from exc
-    return {outcome.day: outcome for outcome in outcomes}

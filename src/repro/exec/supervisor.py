@@ -1,11 +1,10 @@
 """Worker supervision: deadlines, retries, and broken-pool recovery.
 
-:func:`repro.exec.executor.run_days_parallel` is the optimistic fan-out:
-one pool, one ``map``, and any worker death loses the whole wave.  For a
+:func:`run_days_supervised` is the mission driver's one parallel path.
+A bare pool ``map`` would lose the whole wave to one worker death; for a
 long unattended sweep — the failure mode field deployments of distributed
-instruments keep reporting — the mission driver uses this module's
-:func:`run_days_supervised` instead, which wraps the same bit-identical
-per-day work in a supervision loop:
+instruments keep reporting — this wraps the bit-identical per-day work
+(:func:`repro.exec.executor.compute_day`) in a supervision loop:
 
 * **deadlines** — a day that runs longer than
   ``ExecutionConfig.day_deadline_s`` in a worker is treated as hung: the
@@ -19,8 +18,8 @@ per-day work in a supervision loop:
   cache *before* anything else happens — then respawns the pool and
   resubmits only the unfinished days;
 * **seeded-jitter backoff** — respawns back off exponentially with
-  jitter drawn from a seeded RNG (``supervisor_seed``), so retry storms
-  desynchronize reproducibly;
+  jitter drawn from a fixed-seed RNG, so retry storms desynchronize
+  reproducibly;
 * **bounded degradation** — after ``pool_failure_limit`` consecutive
   pool failures with no salvaged progress the supervisor raises
   :class:`~repro.exec.executor.ExecutorUnavailable` and the mission
@@ -200,7 +199,7 @@ def run_days_supervised(
     timeouts: dict[int, int] = {}
     to_crash = frozenset(crash_days) & set(pending)
     to_hang = frozenset(hang_days) & set(pending)
-    rng = np.random.default_rng(execution.supervisor_seed)
+    rng = np.random.default_rng(0)
     pool_failures = 0
     respawns = 0
 

@@ -9,8 +9,6 @@ and the 28 cm heatmap grids of the paper's Figure 3.
 from repro.localization.heatmap import Heatmap, build_heatmap
 from repro.localization.pipeline import LocalizationResult, Localizer
 from repro.localization.room_detector import RoomDetector
-from repro.localization.rssi import ema_smooth
-from repro.localization.trilateration import gauss_newton_refine, weighted_centroid
 
 __all__ = [
     "Heatmap",
@@ -18,7 +16,4 @@ __all__ = [
     "Localizer",
     "RoomDetector",
     "build_heatmap",
-    "ema_smooth",
-    "gauss_newton_refine",
-    "weighted_centroid",
 ]

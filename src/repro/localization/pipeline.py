@@ -8,7 +8,6 @@ its beacon messages into.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,35 +64,6 @@ class Localizer:
         self.tx_power_dbm = float(tx_power_dbm)
         self.path_loss_exponent = float(path_loss_exponent)
         self.refine = bool(refine)
-
-    def localize_day(
-        self,
-        ble_rssi: np.ndarray,
-        active: np.ndarray,
-        dead_beacons: "Iterable[int] | None" = None,
-    ) -> LocalizationResult:
-        """Localize one badge-day.
-
-        Deprecated thin wrapper (batch of 1) around
-        :meth:`localize_fleet`; prefer the fleet call when localizing
-        several badge-days.
-
-        Args:
-            ble_rssi: ``(frames, n_beacons)`` scan matrix.
-            active: ``(frames,)`` recording mask.
-            dead_beacons: beacon indices whose columns are masked to NaN
-                before detection (beacon outage): the pipeline keeps
-                detecting rooms from the surviving beacons at reduced
-                confidence instead of crashing or consuming stale data.
-
-        Returns:
-            Room and position estimates per frame.
-        """
-        warnings.warn(
-            "Localizer.localize_day is deprecated; use localize_fleet",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.localize_fleet([ble_rssi], [active], dead_beacons=dead_beacons)[0]
 
     def localize_fleet(
         self,

@@ -1,8 +1,8 @@
-"""RSSI conditioning: exponential smoothing over noisy scan streams.
+"""RSSI conditioning: smoothing over noisy scan streams.
 
-BLE RSSI carries several dB of shadowing noise frame to frame; a light
-exponential moving average per beacon stabilizes both room votes and
-centroid weights without adding meaningful lag at walking speeds.
+BLE RSSI carries several dB of shadowing noise frame to frame; a short
+moving average per beacon stabilizes both room votes and centroid
+weights without adding meaningful lag at walking speeds.
 """
 
 from __future__ import annotations
@@ -12,52 +12,13 @@ import numpy as np
 from repro.core.errors import ConfigError
 
 
-def ema_smooth(rssi: np.ndarray, alpha: float = 0.4, max_gap: int = 5) -> np.ndarray:
-    """Exponentially smooth a ``(frames, beacons)`` RSSI matrix.
-
-    NaNs (beacon not heard) do not update the average; the previous
-    smoothed value is carried over for up to ``max_gap`` frames, after
-    which the stream is considered lost and resets to NaN.
-
-    Args:
-        rssi: raw scan matrix, NaN = not heard.
-        alpha: EMA weight of the newest sample.
-        max_gap: maximum frames a stale value may be carried.
-
-    Returns:
-        Smoothed matrix of the same shape.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError("alpha must be in (0, 1]")
-    if max_gap < 0:
-        raise ConfigError("max_gap must be non-negative")
-    rssi = np.asarray(rssi, dtype=np.float64)
-    out = np.full_like(rssi, np.nan)
-    state = np.full(rssi.shape[1], np.nan)
-    staleness = np.zeros(rssi.shape[1], dtype=np.int64)
-    for i in range(rssi.shape[0]):
-        row = rssi[i]
-        fresh = ~np.isnan(row)
-        new_state = np.where(
-            fresh,
-            np.where(np.isnan(state), row, alpha * row + (1 - alpha) * state),
-            state,
-        )
-        staleness = np.where(fresh, 0, staleness + 1)
-        new_state = np.where(staleness > max_gap, np.nan, new_state)
-        state = new_state
-        out[i] = state
-    return out
-
-
 def boxcar_smooth(rssi: np.ndarray, window: int = 5) -> np.ndarray:
     """NaN-aware centered moving average over a ``(frames, beacons)`` matrix.
 
-    Fully vectorized (one shifted add per window offset), so it is the
-    default smoother in the localization pipeline; :func:`ema_smooth`
-    remains available when strictly causal filtering matters.  Cells
-    with no finite sample in their window stay NaN.  The input's float
-    dtype is preserved (the pipeline smooths float32 scans in float32).
+    Fully vectorized (one shifted add per window offset); this is the
+    localization pipeline's smoother.  Cells with no finite sample in
+    their window stay NaN.  The input's float dtype is preserved (the
+    pipeline smooths float32 scans in float32).
     """
     if window < 1:
         raise ConfigError("window must be >= 1")

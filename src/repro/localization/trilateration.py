@@ -15,119 +15,6 @@ import numpy as np
 from repro.core.errors import ConfigError
 
 
-def rssi_to_distance(
-    rssi_dbm: np.ndarray, tx_power_dbm: float = -59.0, path_loss_exponent: float = 2.2
-) -> np.ndarray:
-    """Invert the log-distance model: estimated range in meters."""
-    if path_loss_exponent <= 0:
-        raise ConfigError("path_loss_exponent must be positive")
-    return 10.0 ** ((tx_power_dbm - np.asarray(rssi_dbm)) / (10.0 * path_loss_exponent))
-
-
-def weighted_centroid(
-    rssi: np.ndarray,
-    beacon_xy: np.ndarray,
-    weight_mask: np.ndarray | None = None,
-    tx_power_dbm: float = -59.0,
-    path_loss_exponent: float = 2.2,
-    weight_power: float = 2.0,
-) -> np.ndarray:
-    """Vectorized weighted-centroid position estimate.
-
-    Args:
-        rssi: ``(frames, beacons)`` matrix, NaN = not heard.
-        beacon_xy: ``(beacons, 2)`` surveyed beacon positions.
-        weight_mask: optional ``(frames, beacons)`` boolean mask limiting
-            which beacons may contribute per frame (e.g. only the
-            detected room's beacons).
-        tx_power_dbm, path_loss_exponent: ranging model parameters.
-        weight_power: beacons are weighted ``1 / d**weight_power``.
-
-    Returns:
-        ``(frames, 2)`` position estimates; NaN rows where no beacon
-        contributed.
-    """
-    rssi = np.asarray(rssi, dtype=np.float64)
-    usable = ~np.isnan(rssi)
-    if weight_mask is not None:
-        usable &= np.asarray(weight_mask, dtype=bool)
-    d = rssi_to_distance(np.where(usable, rssi, 0.0), tx_power_dbm, path_loss_exponent)
-    with np.errstate(divide="ignore"):
-        w = np.where(usable, 1.0 / np.maximum(d, 0.05) ** weight_power, 0.0)
-    total = w.sum(axis=1)
-    out = np.full((rssi.shape[0], 2), np.nan)
-    ok = total > 0
-    out[ok, 0] = (w[ok] @ beacon_xy[:, 0]) / total[ok]
-    out[ok, 1] = (w[ok] @ beacon_xy[:, 1]) / total[ok]
-    return out
-
-
-def gauss_newton_batch(
-    initial_xy: np.ndarray,
-    rssi: np.ndarray,
-    beacon_xy: np.ndarray,
-    weight_mask: np.ndarray | None = None,
-    tx_power_dbm: float = -59.0,
-    path_loss_exponent: float = 2.2,
-    iterations: int = 6,
-    damping: float = 1e-2,
-) -> np.ndarray:
-    """Vectorized Gauss-Newton range refinement over many frames at once.
-
-    Unlike the weighted centroid, range-based least squares can place a
-    badge *outside* the beacons' convex hull, recovering the true spatial
-    spread of occupancy (essential for the Fig-3 heatmaps).  Frames with
-    fewer than two usable beacons keep their initial estimate.
-
-    Args:
-        initial_xy: ``(frames, 2)`` starting points (NaN rows skipped).
-        rssi: ``(frames, beacons)`` scan matrix.
-        beacon_xy: ``(beacons, 2)`` positions.
-        weight_mask: optional per-frame beacon eligibility mask.
-        tx_power_dbm, path_loss_exponent: ranging model.
-        iterations: Gauss-Newton steps (vectorized across frames).
-        damping: Levenberg-style diagonal damping.
-
-    Returns:
-        ``(frames, 2)`` refined positions.
-    """
-    rssi = np.asarray(rssi, dtype=np.float64)
-    usable = ~np.isnan(rssi)
-    if weight_mask is not None:
-        usable &= np.asarray(weight_mask, dtype=bool)
-    ranges = rssi_to_distance(np.where(usable, rssi, 0.0), tx_power_dbm, path_loss_exponent)
-    p = np.array(initial_xy, dtype=np.float64, copy=True)
-    live = usable.sum(axis=1) >= 2
-    live &= ~np.isnan(p).any(axis=1)
-    if not live.any():
-        return p
-    w = usable[live].astype(np.float64)
-    r = ranges[live]
-    x = p[live]
-    bx = beacon_xy[:, 0][None, :]
-    by = beacon_xy[:, 1][None, :]
-    for _ in range(iterations):
-        dx = x[:, 0:1] - bx
-        dy = x[:, 1:2] - by
-        dist = np.maximum(np.hypot(dx, dy), 1e-6)
-        residual = (dist - r) * w
-        jx = dx / dist
-        jy = dy / dist
-        a = (w * jx * jx).sum(axis=1) + damping
-        b = (w * jx * jy).sum(axis=1)
-        d = (w * jy * jy).sum(axis=1) + damping
-        gx = (jx * residual).sum(axis=1)
-        gy = (jy * residual).sum(axis=1)
-        det = a * d - b * b
-        det = np.where(np.abs(det) < 1e-12, 1e-12, det)
-        step_x = (d * gx - b * gy) / det
-        step_y = (a * gy - b * gx) / det
-        x[:, 0] -= step_x
-        x[:, 1] -= step_y
-    p[live] = x
-    return p
-
-
 def localize_rooms(
     rssi: np.ndarray,
     rooms: np.ndarray,
@@ -142,14 +29,15 @@ def localize_rooms(
 ) -> np.ndarray:
     """Room-compacted weighted centroid plus optional Gauss-Newton pass.
 
-    The per-frame estimators above mask the scan matrix down to the
-    detected room's beacons but still sweep all ``beacons`` columns;
-    with ~3 beacons per room that is ~10x wasted work.  This variant
-    gathers, per detected room, only the frames in that room and only
-    that room's beacon columns, runs the centroid and the refinement on
-    the compact block, and scatters the estimates back.  Frames may come
+    Only the detected room's beacons may contribute to a frame's
+    estimate.  Rather than masking the full ``beacons``-wide scan matrix
+    (with ~3 beacons per room that is ~10x wasted work), this gathers,
+    per detected room, only the frames in that room and only that
+    room's beacon columns, runs the centroid and the refinement on the
+    compact block, and scatters the estimates back.  Frames may come
     from any number of badge-days stacked along axis 0 — every step is
     row-independent, so batching badges cannot change any row's result.
+    Rows hearing fewer than two in-room beacons keep their centroid.
 
     Args:
         rssi: ``(frames, beacons)`` scan matrix (NaN = not heard).
@@ -255,44 +143,3 @@ def localize_rooms(
         out[rows, 0] = x
         out[rows, 1] = y
     return out
-
-
-def gauss_newton_refine(
-    initial_xy: np.ndarray,
-    ranges_m: np.ndarray,
-    beacon_xy: np.ndarray,
-    iterations: int = 5,
-    damping: float = 1e-3,
-) -> np.ndarray:
-    """Refine one position by nonlinear least squares over range estimates.
-
-    Args:
-        initial_xy: ``(2,)`` starting point (e.g. the weighted centroid).
-        ranges_m: ``(k,)`` estimated distances to ``k`` beacons.
-        beacon_xy: ``(k, 2)`` those beacons' positions.
-        iterations: Gauss-Newton steps.
-        damping: Levenberg-style diagonal damping.
-
-    Returns:
-        Refined ``(2,)`` position.
-    """
-    if ranges_m.shape[0] != beacon_xy.shape[0]:
-        raise ConfigError("ranges and beacons must align")
-    if ranges_m.shape[0] < 2:
-        return np.asarray(initial_xy, dtype=np.float64).copy()
-    p = np.asarray(initial_xy, dtype=np.float64).copy()
-    for _ in range(iterations):
-        diff = p[None, :] - beacon_xy
-        dist = np.maximum(np.hypot(diff[:, 0], diff[:, 1]), 1e-6)
-        residual = dist - ranges_m
-        jacobian = diff / dist[:, None]
-        jtj = jacobian.T @ jacobian + damping * np.eye(2)
-        jtr = jacobian.T @ residual
-        try:
-            step = np.linalg.solve(jtj, jtr)
-        except np.linalg.LinAlgError:
-            break
-        p -= step
-        if np.hypot(step[0], step[1]) < 1e-4:
-            break
-    return p

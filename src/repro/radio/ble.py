@@ -8,7 +8,6 @@ weak signals fall below the receiver sensitivity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,40 +37,6 @@ class BleScanModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.detection_prob <= 1.0:
             raise ConfigError("detection_prob must be in (0, 1]")
-
-    def scan(
-        self,
-        plan: FloorPlan,
-        beacons: list[Beacon],
-        badge_xy: np.ndarray,
-        badge_room: np.ndarray,
-        active: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Synthesize one day of scans for one badge.
-
-        Deprecated thin wrapper (batch of 1) around :meth:`scan_fleet`;
-        prefer the fleet call when synthesizing several badges.
-
-        Args:
-            plan: floor plan.
-            beacons: deployed beacons.
-            badge_xy: ``(frames, 2)`` badge positions (NaN when the badge
-                is outside the habitat).
-            badge_room: ``(frames,)`` badge room indices.
-            active: ``(frames,)`` mask of frames the badge is recording.
-            rng: random stream.
-
-        Returns:
-            ``(frames, n_beacons)`` float32 RSSI matrix; NaN = not heard.
-        """
-        warnings.warn(
-            "BleScanModel.scan is deprecated; use scan_fleet",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.scan_fleet(
-            plan, beacons, badge_xy[None], badge_room[None], active[None], (rng,)
-        )[0]
 
     def scan_fleet(
         self,

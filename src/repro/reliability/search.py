@@ -19,7 +19,7 @@ byte-identical campaigns.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,6 +63,43 @@ def _regime_campaign(
     return dataclasses.replace(base, **fields)
 
 
+def _rank_regimes(
+    record: type,
+    span_name: str,
+    base: FaultCampaign,
+    n_regimes: int,
+    seed: int,
+    top_k: int,
+    draw: Callable[[np.random.Generator], dict[str, float]],
+    score: Callable[[FaultCampaign], tuple[float, float, float]],
+) -> list:
+    """The sweep loop both searches share.
+
+    ``draw(rng)`` samples one regime's field overrides from the sweep RNG
+    and ``score(campaign)`` returns its ``(badness, driver, driver)``.
+    Returns the ``top_k`` worst as ``record`` instances (:class:`Regime`
+    or :class:`CoverageRegime`), ranked by descending badness with ties
+    broken by campaign seed for determinism.
+    """
+    if n_regimes < 1:
+        raise ConfigError("n_regimes must be >= 1")
+    if not 1 <= top_k <= n_regimes:
+        raise ConfigError("top_k must be in [1, n_regimes]")
+
+    rng = np.random.default_rng(seed)
+    scored = []
+    with span(span_name, n_regimes=n_regimes, seed=seed):
+        for i in range(n_regimes):
+            overrides = draw(rng)
+            campaign = _regime_campaign(base, overrides, seed * 100_000 + i)
+            scored.append((score(campaign), overrides, campaign))
+    scored.sort(key=lambda entry: (-entry[0][0], entry[2].seed))
+    return [
+        record(rank, *scores, campaign, {k: float(v) for k, v in overrides.items()})
+        for rank, (scores, overrides, campaign) in enumerate(scored[:top_k], start=1)
+    ]
+
+
 def sweep_regimes(
     base: Optional[FaultCampaign] = None,
     n_regimes: int = 64,
@@ -82,39 +119,20 @@ def sweep_regimes(
     """
     if base is None:
         base = FaultCampaign.reference()
-    if n_regimes < 1:
-        raise ConfigError("n_regimes must be >= 1")
-    if not 1 <= top_k <= n_regimes:
-        raise ConfigError("top_k must be in [1, n_regimes]")
 
-    rng = np.random.default_rng(seed)
-    scored: list[tuple[float, float, float, dict[str, float], FaultCampaign]] = []
-    with span("reliability.sweep", n_regimes=n_regimes, seed=seed):
-        for i in range(n_regimes):
-            overrides: dict[str, float] = {}
-            for name, (lo, hi) in SWEPT_FIELDS.items():
-                mult = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-                overrides[name] = float(getattr(base, name)) * mult
-            overrides["lossy_prob"] = float(rng.uniform(0.05, 0.9))
-            campaign = _regime_campaign(base, overrides, seed * 100_000 + i)
-            model = ReliabilityModel(campaign, earth_link_delay_s=earth_link_delay_s)
-            badness, min_avail, delivery_loss = model.score()
-            scored.append((badness, min_avail, delivery_loss, overrides, campaign))
+    def draw(rng: np.random.Generator) -> dict[str, float]:
+        overrides: dict[str, float] = {}
+        for name, (lo, hi) in SWEPT_FIELDS.items():
+            mult = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            overrides[name] = float(getattr(base, name)) * mult
+        overrides["lossy_prob"] = float(rng.uniform(0.05, 0.9))
+        return overrides
 
-    # Descending badness; ties broken by campaign seed for determinism.
-    scored.sort(key=lambda entry: (-entry[0], entry[4].seed))
-    return [
-        Regime(
-            rank=rank,
-            score=badness,
-            min_availability=min_avail,
-            delivery_loss=delivery_loss,
-            campaign=campaign,
-            overrides=overrides,
-        )
-        for rank, (badness, min_avail, delivery_loss, overrides, campaign)
-        in enumerate(scored[:top_k], start=1)
-    ]
+    return _rank_regimes(
+        Regime, "reliability.sweep", base, n_regimes, seed, top_k, draw,
+        lambda campaign: ReliabilityModel(
+            campaign, earth_link_delay_s=earth_link_delay_s).score(),
+    )
 
 
 #: Sensing-level rate/duration fields the coverage sweep perturbs
@@ -154,40 +172,21 @@ def sweep_coverage_regimes(
     """
     if base is None:
         base = FaultCampaign.coverage_reference()
-    if n_regimes < 1:
-        raise ConfigError("n_regimes must be >= 1")
-    if not 1 <= top_k <= n_regimes:
-        raise ConfigError("top_k must be in [1, n_regimes]")
 
-    rng = np.random.default_rng(seed)
-    scored: list[tuple[float, float, float, dict[str, float], FaultCampaign]] = []
-    with span("reliability.sweep_coverage", n_regimes=n_regimes, seed=seed):
-        for i in range(n_regimes):
-            overrides: dict[str, float] = {}
-            for name, (lo, hi) in COVERAGE_SWEPT_FIELDS.items():
-                mult = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-                overrides[name] = float(getattr(base, name)) * mult
-            for name in COVERAGE_SWEPT_COUNTS:
-                mult = float(np.exp(rng.uniform(np.log(0.25), np.log(8.0))))
-                overrides[name] = int(round(getattr(base, name) * mult))
-            campaign = _regime_campaign(base, overrides, seed * 100_000 + i)
-            badness, coverage, quarantined = CoverageModel(campaign).score()
-            scored.append((badness, coverage, quarantined, overrides, campaign))
+    def draw(rng: np.random.Generator) -> dict[str, float]:
+        overrides: dict[str, float] = {}
+        for name, (lo, hi) in COVERAGE_SWEPT_FIELDS.items():
+            mult = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            overrides[name] = float(getattr(base, name)) * mult
+        for name in COVERAGE_SWEPT_COUNTS:
+            mult = float(np.exp(rng.uniform(np.log(0.25), np.log(8.0))))
+            overrides[name] = int(round(getattr(base, name) * mult))
+        return overrides
 
-    # Descending badness; ties broken by campaign seed for determinism.
-    scored.sort(key=lambda entry: (-entry[0], entry[4].seed))
-    return [
-        CoverageRegime(
-            rank=rank,
-            score=badness,
-            coverage=coverage,
-            expected_quarantined=quarantined,
-            campaign=campaign,
-            overrides={k: float(v) for k, v in overrides.items()},
-        )
-        for rank, (badness, coverage, quarantined, overrides, campaign)
-        in enumerate(scored[:top_k], start=1)
-    ]
+    return _rank_regimes(
+        CoverageRegime, "reliability.sweep_coverage", base, n_regimes, seed, top_k,
+        draw, lambda campaign: CoverageModel(campaign).score(),
+    )
 
 
 def worst_coverage_campaigns(

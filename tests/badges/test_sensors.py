@@ -5,7 +5,11 @@ import pytest
 
 from repro.badges.sensors.accelerometer import AccelerometerModel
 from repro.badges.sensors.imu import ImuModel
-from repro.badges.sensors.microphone import MicrophoneModel, SpeechSources
+from repro.badges.sensors.microphone import (
+    MicrophoneModel,
+    MicrophoneOutput,
+    SpeechSources,
+)
 from repro.core.config import MissionConfig
 from repro.crew.behavior import simulate_mission
 from repro.crew.tasks import Activity
@@ -16,6 +20,15 @@ from repro.habitat.floorplan import lunares_floorplan
 @pytest.fixture(scope="module")
 def plan():
     return lunares_floorplan()
+
+
+def mic_one(sources, badge_xy, badge_room, active, wall_matrix, noise_floors):
+    """One badge's microphone features, as a fleet batch of one."""
+    fleet = MicrophoneModel().synthesize_fleet(
+        sources, badge_xy[None], badge_room[None], active[None],
+        wall_matrix, noise_floors, (np.random.default_rng(0),),
+    )
+    return MicrophoneOutput(**{name: rows[0] for name, rows in vars(fleet).items()})
 
 
 class TestAccelerometer:
@@ -87,10 +100,9 @@ class TestMicrophone:
         n = trace.n_frames
         badge_xy = np.column_stack([trace.x, trace.y]).astype(np.float64)
         badge_xy[np.isnan(badge_xy)] = 0.0
-        mic = MicrophoneModel().synthesize(
+        mic = mic_one(
             sources, badge_xy, trace.room, np.ones(n, dtype=bool),
-            plan.wall_matrix(),
-            np.full(plan.n_rooms, 35.0), np.random.default_rng(0),
+            plan.wall_matrix(), np.full(plan.n_rooms, 35.0),
         )
         own = trace.speaking & (trace.room >= 0)
         assert np.nanmedian(mic.voice_db[own]) > 70.0
@@ -101,9 +113,9 @@ class TestMicrophone:
         n = trace.n_frames
         badge_xy = np.column_stack([trace.x, trace.y]).astype(np.float64)
         badge_xy[np.isnan(badge_xy)] = 0.0
-        mic = MicrophoneModel().synthesize(
+        mic = mic_one(
             sources, badge_xy, trace.room, np.ones(n, dtype=bool),
-            plan.wall_matrix(), np.full(plan.n_rooms, 35.0), np.random.default_rng(0),
+            plan.wall_matrix(), np.full(plan.n_rooms, 35.0),
         )
         anyone = sources.speaking.any(axis=0)
         silent = ~anyone & (trace.room >= 0)
@@ -119,9 +131,9 @@ class TestMicrophone:
         n = trace.n_frames
         badge_xy = np.column_stack([trace.x, trace.y]).astype(np.float64)
         badge_xy[np.isnan(badge_xy)] = 0.0
-        mic = MicrophoneModel().synthesize(
+        mic = mic_one(
             sources, badge_xy, trace.room, np.ones(n, dtype=bool),
-            plan.wall_matrix(), np.full(plan.n_rooms, 35.0), np.random.default_rng(0),
+            plan.wall_matrix(), np.full(plan.n_rooms, 35.0),
         )
         tts_only = trace.machine_speech & ~sources.speaking[:6].any(axis=0)
         if tts_only.sum() < 50:
@@ -140,9 +152,9 @@ class TestMicrophone:
             loudness=np.zeros((1, n), dtype=np.float32),
             pitch_hz=np.array([120.0]), is_machine=np.array([False]),
         )
-        mic = MicrophoneModel().synthesize(
+        mic = mic_one(
             empty, badge_xy, rooms, np.ones(n, dtype=bool),
-            plan.wall_matrix(), np.full(plan.n_rooms, 30.0), np.random.default_rng(0),
+            plan.wall_matrix(), np.full(plan.n_rooms, 30.0),
         )
         assert np.nanmean(mic.sound_db) == pytest.approx(30.0, abs=2.0)
         assert not np.isfinite(mic.voice_db).any()

@@ -15,19 +15,23 @@ from repro.crew.behavior import simulate_mission
 from repro.experiments.mission import run_mission
 
 
+#: The session mission; ``tests/golden`` pins its outputs byte for byte.
+SESSION_MISSION = MissionConfig(
+    days=5,
+    seed=11,
+    events=ScriptedEventsConfig(
+        death_day=4,
+        badge_swap_day=3,
+        badge_reuse_day=5,
+        famine_day=11,      # outside the short mission; auto-skipped
+        reprimand_day=12,   # outside the short mission; auto-skipped
+    ),
+)
+
+
 @pytest.fixture(scope="session")
 def mission_cfg() -> MissionConfig:
-    return MissionConfig(
-        days=5,
-        seed=11,
-        events=ScriptedEventsConfig(
-            death_day=4,
-            badge_swap_day=3,
-            badge_reuse_day=5,
-            famine_day=11,      # outside the short mission; auto-skipped
-            reprimand_day=12,   # outside the short mission; auto-skipped
-        ),
-    )
+    return SESSION_MISSION
 
 
 @pytest.fixture(scope="session")

@@ -43,12 +43,6 @@ class TestRunMissionCaching:
         assert _summaries_bytes(cold) == _summaries_bytes(warm)
         assert cold.sdcard.total_gib() == warm.sdcard.total_gib()
 
-    def test_disabled_cache_never_touches_disk(self, small_cfg, tmp_path):
-        execution = ExecutionConfig(cache_dir=str(tmp_path), cache_enabled=False)
-        result = run_mission(small_cfg, execution=execution)
-        assert result.cache_stats is None
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("change", [
         {"seed": 10},
         {"frame_dt": 7.0},

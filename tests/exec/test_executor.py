@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.config import ExecutionConfig, MissionConfig
 from repro.core.errors import ConfigError
-from repro.exec.executor import ExecutorUnavailable, run_days_parallel
+from repro.exec.executor import ExecutorUnavailable
+from repro.exec.supervisor import run_days_supervised
 from repro.experiments.mission import MissionResult, run_mission
 from repro.faults import FaultCampaign
 
@@ -82,11 +83,13 @@ class TestSerialFallback:
         forced = run_mission(cfg, execution=ExecutionConfig(n_workers=4))
         assert_bit_identical(serial, forced)
 
-    def test_run_days_parallel_refuses_fault_plans(self, cfg):
+    def test_parallel_path_refuses_fault_plans(self, cfg):
+        """The reference campaign is refused before any context is pickled."""
         plan = FaultCampaign.reference(days=3, seed=1).generate()
         faulted = dataclasses.replace(cfg, fault_plan=plan)
-        with pytest.raises(ExecutorUnavailable):
-            run_days_parallel(faulted, None, None, None, [2, 3], 4)
+        with pytest.raises(ExecutorUnavailable, match="sensing-fault"):
+            run_days_supervised(faulted, None, None, None, [2, 3],
+                                ExecutionConfig(n_workers=4))
 
     def test_unpicklable_override_falls_back(self, cfg, serial_result):
         from repro.badges.pipeline import SensingModels
@@ -144,11 +147,6 @@ class TestExecutionConfig:
     def test_empty_cache_dir_rejected(self):
         with pytest.raises(ConfigError):
             ExecutionConfig(cache_dir="")
-
-    def test_cache_enabled_switch(self, tmp_path):
-        assert ExecutionConfig(cache_dir=str(tmp_path)).cache_active
-        assert not ExecutionConfig(cache_dir=str(tmp_path),
-                                   cache_enabled=False).cache_active
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

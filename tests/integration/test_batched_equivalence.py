@@ -1,192 +1,110 @@
-"""Golden test for the batched sensing API redesign.
+"""Batch-shape contract (DESIGN §13): batching never changes a badge's bytes.
 
-The fleet-batched hot path (:func:`repro.badges.pipeline.sense_day` +
-:meth:`repro.localization.pipeline.Localizer.localize_fleet`) must be
-**bit-identical** to driving every model through its legacy per-badge
-wrapper (:func:`repro.badges.pipeline.sense_day_badgewise` +
-:meth:`~repro.localization.pipeline.Localizer.localize_day`).  Per
-badge, each model consumes its day-scoped RNG stream in the documented
-order, so batching across badges may not move a single draw — this test
-is the contract's enforcement.
-
-Cache fingerprints are config-derived, so the redesign must also leave
-them untouched: a cache populated before the batched API landed still
-addresses the same artifacts.
+Every fleet call draws per badge from that badge's own stream, in the
+documented order, and keeps every reduction row-local.  So a badge run
+as a batch of one must be byte-equal to its row in a multi-badge batch.
+The golden digests in ``tests/golden`` pin what the bytes are; this
+test pins that batch shape cannot move them.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analytics.dataset import BadgeDaySummary
-from repro.badges.assignment import BadgeAssignment
-from repro.badges.pipeline import (
-    SensingModels,
-    make_fleet,
-    sense_day,
-    sense_day_badgewise,
-)
-from repro.badges.sdcard import SdCardAccountant
-from repro.core.config import MissionConfig
-from repro.core.rng import RngRegistry, mission_sensing_registry
-from repro.crew.behavior import simulate_mission
-from repro.exec import hashing
+from repro.badges.pipeline import SensingModels
+from repro.badges.sensors.microphone import SpeechSources
+from repro.badges.wear import WearModel
 from repro.localization.pipeline import Localizer
 
-# This module *deliberately* drives the deprecated batch-of-one wrappers
-# to enforce their bit-equivalence contract; the warnings are expected.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+DAY = 2
 
 
 @pytest.fixture(scope="module")
-def cfg():
-    return MissionConfig(days=2, seed=13, events=None)
+def shared(truth):
+    """Inputs every badge shares: models, speech sources, day clock."""
+    cfg, plan = truth.cfg, truth.plan
+    models = SensingModels.default(cfg, plan)
+    return SimpleNamespace(
+        models=models,
+        localizer=Localizer(plan, models.beacons),
+        sources=SpeechSources.from_truth(truth, DAY),
+        walls=plan.wall_matrix(),
+        floors=np.array([models.env.noise_floor_db(r.name) for r in plan.rooms]),
+        t_abs=cfg.daytime_start_s + np.arange(cfg.frames_per_day) * cfg.frame_dt,
+    )
 
 
 @pytest.fixture(scope="module")
-def truth(cfg):
-    return simulate_mission(cfg)
+def fleet(truth, shared):
+    """Per-badge inputs of one day, stacked along axis 0."""
+    wear_model = WearModel(truth.cfg, truth.plan, battery=shared.models.battery)
+    traces = [truth.trace(astro, DAY) for astro in truth.roster.ids]
+    wears = [wear_model.simulate_day(trace, np.random.default_rng(b))
+             for b, trace in enumerate(traces)]
+    fleet = {
+        "xy": np.stack([w.badge_xy for w in wears]),
+        "room": np.stack([w.badge_room for w in wears]),
+        "active": np.stack([w.active for w in wears]),
+        "worn": np.stack([w.worn for w in wears]),
+        "walking": np.stack([t.walking for t in traces]),
+        "activity": np.stack([t.activity for t in traces]),
+    }
+    fleet["scans"] = _scan(shared, fleet, _rngs(range(len(wears))))[0]
+    return fleet
 
 
-@pytest.fixture(scope="module")
-def mission_parts(cfg, truth):
-    assignment = BadgeAssignment(cfg=cfg, roster=truth.roster)
-    models = SensingModels.default(cfg, truth.plan)
-    localizer = Localizer(truth.plan, models.beacons)
-    return assignment, models, localizer
+def _rngs(badges) -> list[np.random.Generator]:
+    return [np.random.default_rng(100 + b) for b in badges]
 
 
-def _summaries(cfg, truth, mission_parts, batched: bool):
-    """Run the instrumented days through one of the two paths."""
-    assignment, models, localizer = mission_parts
-    rngs = mission_sensing_registry(cfg.seed)
-    fleet = make_fleet(assignment, rngs)
-    sdcard = SdCardAccountant()
-    sensor = sense_day if batched else sense_day_badgewise
-    out: dict[tuple[int, int], BadgeDaySummary] = {}
-    pairwise: dict[int, object] = {}
-    for day in cfg.instrumented_days:
-        observations, pw = sensor(
-            truth, day, assignment, models, fleet, rngs, sdcard
-        )
-        pairwise[day] = pw
-        badge_ids = list(observations)
-        if batched:
-            locs = localizer.localize_fleet(
-                [observations[b].ble_rssi for b in badge_ids],
-                [observations[b].active for b in badge_ids],
-            )
-        else:
-            locs = [
-                localizer.localize_day(
-                    observations[b].ble_rssi, observations[b].active
-                )
-                for b in badge_ids
-            ]
-        for badge_id, loc in zip(badge_ids, locs):
-            obs = observations[badge_id]
-            out[(badge_id, day)] = BadgeDaySummary.from_observations(obs, loc)
-    return out, pairwise
+def _scan(s, f, rngs):
+    m = s.models
+    return (m.ble.scan_fleet(m.plan, m.beacons, f["xy"], f["room"], f["active"], rngs),)
 
 
-def _digest(summary: BadgeDaySummary) -> str:
-    """Byte-level digest of every field of one summary."""
-    h = hashlib.blake2b(digest_size=16)
-    for f in dataclasses.fields(summary):
-        value = getattr(summary, f.name)
-        h.update(f.name.encode())
-        if isinstance(value, np.ndarray):
-            h.update(str(value.dtype).encode())
-            h.update(value.tobytes())
-        else:
-            h.update(repr(value).encode())
-    return h.hexdigest()
+def _accelerometer(s, f, rngs):
+    return (s.models.accelerometer.synthesize_fleet(
+        f["walking"], f["worn"], f["active"], f["activity"], rngs),)
 
 
-@pytest.fixture(scope="module")
-def both_paths(cfg, truth, mission_parts):
-    batched = _summaries(cfg, truth, mission_parts, batched=True)
-    badgewise = _summaries(cfg, truth, mission_parts, batched=False)
-    return batched, badgewise
+def _imu(s, f, rngs):
+    return s.models.imu.synthesize_fleet(f["walking"], f["worn"], f["active"], rngs)
 
 
-class TestGoldenEquivalence:
-    def test_same_badge_days(self, both_paths):
-        (batched, _), (badgewise, _) = both_paths
-        assert set(batched) == set(badgewise)
-        assert batched  # a silent empty mission would vacuously pass
-
-    def test_summaries_byte_identical(self, both_paths):
-        (batched, _), (badgewise, _) = both_paths
-        for key in batched:
-            assert _digest(batched[key]) == _digest(badgewise[key]), key
-
-    def test_pairwise_byte_identical(self, both_paths):
-        (_, pw_batched), (_, pw_badgewise) = both_paths
-        for day in pw_batched:
-            a, b = pw_batched[day], pw_badgewise[day]
-            assert set(a.subghz_rssi) == set(b.subghz_rssi)
-            for pair in a.subghz_rssi:
-                assert (
-                    a.subghz_rssi[pair].tobytes() == b.subghz_rssi[pair].tobytes()
-                ), pair
-                assert (
-                    a.ir_contact[pair].tobytes() == b.ir_contact[pair].tobytes()
-                ), pair
-
-    def test_localize_day_wraps_localize_fleet(self, cfg, truth, mission_parts):
-        """A batch of one is the same bits as a row of a fleet batch."""
-        assignment, models, localizer = mission_parts
-        rngs = RngRegistry(cfg.seed)
-        fleet = make_fleet(assignment, rngs)
-        observations, _ = sense_day(
-            truth, 2, assignment, models, fleet, rngs, SdCardAccountant()
-        )
-        badge_ids = list(observations)
-        fleet_locs = localizer.localize_fleet(
-            [observations[b].ble_rssi for b in badge_ids],
-            [observations[b].active for b in badge_ids],
-        )
-        for badge_id, fleet_loc in zip(badge_ids, fleet_locs):
-            solo = localizer.localize_day(
-                observations[badge_id].ble_rssi, observations[badge_id].active
-            )
-            for field in ("room", "x", "y"):
-                assert (
-                    getattr(fleet_loc, field).tobytes()
-                    == getattr(solo, field).tobytes()
-                ), (badge_id, field)
+def _microphone(s, f, rngs):
+    out = s.models.microphone.synthesize_fleet(
+        s.sources, f["xy"], f["room"], f["active"], s.walls, s.floors, rngs)
+    return tuple(vars(out).values())
 
 
-class TestWrappersDeprecated:
-    """DESIGN §13: the batch-of-one wrappers warn before removal."""
-
-    def test_sense_day_badgewise_warns(self, cfg, truth, mission_parts):
-        assignment, models, _ = mission_parts
-        rngs = mission_sensing_registry(cfg.seed)
-        fleet = make_fleet(assignment, rngs)
-        with pytest.warns(DeprecationWarning, match="sense_day_badgewise"):
-            sense_day_badgewise(
-                truth, 2, assignment, models, fleet, rngs, SdCardAccountant()
-            )
+def _environment(s, f, rngs):
+    m = s.models
+    return m.env_sensors.synthesize_fleet(
+        m.env, m.plan, f["room"], f["worn"], f["active"], s.t_abs, rngs)
 
 
-class TestCacheFingerprintsUnchanged:
-    """The API redesign must not move any config-derived cache key."""
+def _localize(s, f, rngs):
+    results = s.localizer.localize_fleet(
+        list(f["scans"]), list(f["active"]), dead_beacons=[0])
+    return tuple(np.stack([getattr(r, name) for r in results])
+                 for name in ("room", "x", "y"))
 
-    def test_fingerprints_are_config_pure(self, cfg):
-        assert hashing.truth_fingerprint(cfg) == hashing.truth_fingerprint(
-            MissionConfig(days=2, seed=13, events=None)
-        )
-        assert hashing.sensing_fingerprint(cfg) == hashing.sensing_fingerprint(
-            MissionConfig(days=2, seed=13, events=None)
-        )
 
-    def test_schema_version_not_bumped_by_redesign(self):
-        # The batched path produces the same bits as the per-badge path,
-        # so cached artifacts stay valid and the schema stays at 1.
-        assert hashing.SCHEMA_VERSION == 1
+class TestBatchShape:
+    @pytest.mark.parametrize("call", [
+        _scan, _accelerometer, _imu, _microphone, _environment, _localize,
+    ], ids=["scan_fleet", "accelerometer", "imu", "microphone", "environment",
+            "localize_fleet"])
+    def test_solo_equals_row(self, shared, fleet, call):
+        n_badges = len(fleet["active"])
+        assert n_badges > 1
+        batch = call(shared, fleet, _rngs(range(n_badges)))
+        for b in range(n_badges):
+            one = {name: rows[b:b + 1] for name, rows in fleet.items()}
+            solo = call(shared, one, _rngs([b]))
+            for i, (rows, alone) in enumerate(zip(batch, solo, strict=True)):
+                assert alone.shape[0] == 1
+                assert rows[b].tobytes() == alone[0].tobytes(), (b, i)

@@ -35,6 +35,19 @@ class TestCli:
             main(["explode"])
 
 
+class TestBadMissionInput:
+    @pytest.mark.parametrize("bad", [
+        ["--workers", "abc"],
+        ["--workers", "0"],
+        ["--resume"],
+        ["--days", "1"],
+    ], ids=["workers-abc", "workers-0", "resume-no-checkpoint", "days-1"])
+    def test_one_error_line_exit_2(self, capsys, bad):
+        assert main(["run", "--days", "2", *bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1, err
+
+
 class TestQualityCli:
     def test_corruption_campaign_reports(self, capsys):
         args = ["quality", "--days", "3", "--seed", "21", "--no-events",

@@ -7,11 +7,10 @@ from repro.core.errors import ConfigError
 from repro.habitat.beacons import place_beacons
 from repro.localization.pipeline import Localizer
 
-# The batch-of-1 wrapper is deprecated but kept for one release; these
-# tests exercise it deliberately (test_localize_day_wrapper_is_deprecated
-# pins the warning itself).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
+def localize_one(loc, rssi, active, dead_beacons=None):
+    """One badge-day, as a fleet batch of one."""
+    return loc.localize_fleet([rssi], [active], dead_beacons=dead_beacons)[0]
 
 class TestLocalizerOnMission:
     def test_room_detection_effectively_perfect(self, sensing):
@@ -79,30 +78,31 @@ class TestDeadBeaconMasking:
 
     def test_masked_beacons_recorded(self, loc, scan):
         rssi, active = scan
-        result = loc.localize_day(rssi, active, dead_beacons=[3, 7, 3])
+        result = localize_one(loc, rssi, active, dead_beacons=[3, 7, 3])
         assert result.masked_beacons == (3, 7)
 
     def test_input_rssi_not_mutated(self, loc, scan):
         rssi, active = scan
         before = rssi.copy()
-        loc.localize_day(rssi, active, dead_beacons=[2])
+        localize_one(loc, rssi, active, dead_beacons=[2])
         np.testing.assert_array_equal(rssi, before)
 
     def test_detection_continues_with_dead_beacons(self, loc, scan):
         rssi, active = scan
-        result = loc.localize_day(rssi, active, dead_beacons=[0, 1, 2])
+        result = localize_one(loc, rssi, active, dead_beacons=[0, 1, 2])
         assert (result.room >= 0).sum() > 0  # still detecting rooms
 
     def test_no_dead_beacons_identical_to_default(self, loc, scan):
         rssi, active = scan
-        base = loc.localize_day(rssi, active)
-        masked = loc.localize_day(rssi, active, dead_beacons=[])
+        base = localize_one(loc, rssi, active)
+        masked = localize_one(loc, rssi, active, dead_beacons=[])
         np.testing.assert_array_equal(base.room, masked.room)
 
     def test_out_of_range_ids_ignored(self, loc, scan):
         rssi, active = scan
-        result = loc.localize_day(rssi, active, dead_beacons=[-1, 99, 4])
+        result = localize_one(loc, rssi, active, dead_beacons=[-1, 99, 4])
         assert result.masked_beacons == (4,)
+
 
 class TestLocalizerConstruction:
     def test_requires_beacons(self, truth):
@@ -115,13 +115,6 @@ class TestLocalizerConstruction:
         n = 50
         rssi = np.full((n, 9), -70.0, dtype=np.float32)
         active = np.ones(n, dtype=bool)
-        result = loc.localize_day(rssi, active)
+        result = localize_one(loc, rssi, active)
         assert result.room.shape == (n,)
         assert result.known_fraction() > 0.9
-
-    def test_localize_day_wrapper_is_deprecated(self, truth):
-        loc = Localizer(truth.plan, place_beacons(truth.plan, 9))
-        rssi = np.full((10, 9), -70.0, dtype=np.float32)
-        active = np.ones(10, dtype=bool)
-        with pytest.warns(DeprecationWarning, match="localize_fleet"):
-            loc.localize_day(rssi, active)

@@ -4,48 +4,52 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.localization.rssi import ema_smooth, strongest_beacon
+from repro.localization.rssi import boxcar_smooth, strongest_beacon
 
 
-class TestEmaSmooth:
+class TestBoxcarSmooth:
     def test_constant_signal_unchanged(self):
-        rssi = np.full((20, 3), -60.0)
-        out = ema_smooth(rssi)
-        np.testing.assert_allclose(out, rssi)
+        rssi = np.full((20, 3), -60.0, dtype=np.float32)
+        out = boxcar_smooth(rssi)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, rssi)
 
     def test_reduces_variance(self):
         rng = np.random.default_rng(0)
         rssi = -60.0 + rng.normal(0, 4, size=(500, 1))
-        out = ema_smooth(rssi, alpha=0.3)
-        assert np.nanstd(out[10:]) < np.nanstd(rssi[10:])
+        out = boxcar_smooth(rssi)
+        assert np.std(out) < np.std(rssi)
 
-    def test_carries_over_short_gaps(self):
+    def test_fills_short_gaps(self):
         rssi = np.full((10, 1), -60.0)
         rssi[4:6, 0] = np.nan
-        out = ema_smooth(rssi, max_gap=3)
-        assert np.isfinite(out[4:6]).all()
+        out = boxcar_smooth(rssi, window=5)
+        np.testing.assert_array_equal(out, np.full((10, 1), -60.0))
 
-    def test_resets_after_long_gap(self):
+    def test_long_gap_stays_nan(self):
         rssi = np.full((20, 1), -60.0)
         rssi[5:15, 0] = np.nan
-        out = ema_smooth(rssi, max_gap=3)
-        assert np.isnan(out[10, 0])
+        out = boxcar_smooth(rssi, window=5)
+        assert np.isnan(out[7:13]).all()
+        assert np.isfinite(out[:7]).all() and np.isfinite(out[13:]).all()
 
     def test_leading_nans_stay_nan(self):
-        rssi = np.full((5, 1), np.nan)
-        rssi[3:, 0] = -50.0
-        out = ema_smooth(rssi)
+        rssi = np.full((6, 1), np.nan)
+        rssi[4:, 0] = -50.0
+        out = boxcar_smooth(rssi, window=3)
         assert np.isnan(out[:3]).all()
-        assert out[3, 0] == -50.0
+        assert (out[3:, 0] == -50.0).all()
 
-    def test_alpha_validation(self):
+    def test_window_validation(self):
         with pytest.raises(ConfigError):
-            ema_smooth(np.zeros((2, 2)), alpha=0.0)
+            boxcar_smooth(np.zeros((2, 2)), window=0)
 
-    def test_alpha_one_passthrough(self):
+    def test_window_one_passthrough(self):
         rng = np.random.default_rng(1)
         rssi = rng.normal(-60, 3, size=(50, 2))
-        np.testing.assert_allclose(ema_smooth(rssi, alpha=1.0), rssi)
+        out = boxcar_smooth(rssi, window=1)
+        np.testing.assert_array_equal(out, rssi)
+        assert out is not rssi
 
 
 class TestStrongestBeacon:

@@ -8,11 +8,6 @@ from repro.habitat.beacons import place_beacons
 from repro.habitat.floorplan import lunares_floorplan
 from repro.radio.ble import BleScanModel
 
-# The batch-of-1 wrapper is deprecated but kept for one release; these
-# tests exercise it deliberately (test_scan_wrapper_is_deprecated pins
-# the warning itself).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 @pytest.fixture(scope="module")
 def plan():
@@ -24,13 +19,22 @@ def beacons(plan):
     return place_beacons(plan, 27)
 
 
+def scan_one(plan, beacons, xy, rooms, active, model=None, seed=0):
+    """One badge's scans, as a fleet batch of one."""
+    model = model if model is not None else BleScanModel()
+    return model.scan_fleet(
+        plan, beacons, xy[None], rooms[None], active[None],
+        (np.random.default_rng(seed),),
+    )[0]
+
+
 def kitchen_scan(plan, beacons, frames=500, detection_prob=0.93, seed=0):
     kitchen = plan.room("kitchen")
     xy = np.tile(np.array(kitchen.rect.center, dtype=np.float64), (frames, 1))
     rooms = np.full(frames, kitchen.index, dtype=np.int8)
     active = np.ones(frames, dtype=bool)
     model = BleScanModel(detection_prob=detection_prob)
-    return model.scan(plan, beacons, xy, rooms, active, np.random.default_rng(seed))
+    return scan_one(plan, beacons, xy, rooms, active, model, seed)
 
 
 class TestScan:
@@ -63,14 +67,14 @@ class TestScan:
         xy = np.tile(np.array(kitchen.rect.center), (10, 1))
         rooms = np.full(10, kitchen.index, dtype=np.int8)
         active = np.zeros(10, dtype=bool)
-        rssi = BleScanModel().scan(plan, beacons, xy, rooms, active, np.random.default_rng(0))
+        rssi = scan_one(plan, beacons, xy, rooms, active)
         assert np.isnan(rssi).all()
 
     def test_nan_positions_empty(self, plan, beacons):
         xy = np.full((10, 2), np.nan)
         rooms = np.full(10, -1, dtype=np.int8)
         active = np.ones(10, dtype=bool)
-        rssi = BleScanModel().scan(plan, beacons, xy, rooms, active, np.random.default_rng(0))
+        rssi = scan_one(plan, beacons, xy, rooms, active)
         assert np.isnan(rssi).all()
 
     def test_detection_prob_controls_misses(self, plan, beacons):
@@ -85,13 +89,3 @@ class TestScan:
     def test_invalid_detection_prob(self):
         with pytest.raises(ConfigError):
             BleScanModel(detection_prob=0.0)
-
-    def test_scan_wrapper_is_deprecated(self, plan, beacons):
-        kitchen = plan.room("kitchen")
-        xy = np.tile(np.array(kitchen.rect.center), (10, 1))
-        rooms = np.full(10, kitchen.index, dtype=np.int8)
-        active = np.ones(10, dtype=bool)
-        with pytest.warns(DeprecationWarning, match="scan_fleet"):
-            BleScanModel().scan(
-                plan, beacons, xy, rooms, active, np.random.default_rng(0)
-            )
