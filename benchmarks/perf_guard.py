@@ -1,19 +1,25 @@
-"""Day-compute performance regression guard.
+"""Day-compute performance regression guard: sensing and crew truth.
 
 The fleet-batched sensing API bought a >5x speedup of the per-day hot
 path (``compute_day``: wear + sensor synthesis + localization + summary
-reduction); this guard keeps it.  It measures
+reduction), and scalar draws plus a per-day walk pass bought about 4x
+on crew truth (``simulate_mission``); this guard keeps both.  It
+measures
 
 1. a fixed numpy **calibration workload** (pins the machine's array
    throughput), and
-2. the **day-compute** path on the standard one-day benchmark mission
-   (``MissionConfig(days=2, seed=13, events=None)``, day 2),
+2. each guarded **stage** on the standard benchmark mission
+   (``MissionConfig(days=2, seed=13, events=None)``), best of 3:
 
-then compares the machine-normalized ratio ``day_compute / calibration``
-against the checked-in budget (``benchmarks/perf_budget.json``).  A run
-more than ``headroom`` (25%) over budget exits non-zero, and every run
-writes its raw measurements to ``benchmarks/output/day_compute_guard.json``
-for artifact upload and cross-run diffing.
+   * ``day_compute``: the day-compute path of day 2;
+   * ``crew``: ``simulate_mission``, the whole crew truth,
+
+then compares each machine-normalized ratio ``stage / calibration``
+against its checked-in budget (``benchmarks/perf_budget.json``).  A
+stage more than ``headroom`` (25%) over budget exits non-zero with one
+line naming the stage, and every run writes its raw measurements to
+``benchmarks/output/day_compute_guard.json`` for artifact upload and
+cross-run diffing.
 
 Run it directly::
 
@@ -55,18 +61,23 @@ def calibration_seconds(rounds: int = 3) -> float:
     return best
 
 
+def _benchmark_mission():
+    from repro.core.config import MissionConfig
+
+    return MissionConfig(days=2, seed=13, events=None)
+
+
 def day_compute_seconds(rounds: int = 3) -> float:
     """Best-of-``rounds`` timing of one full instrumented day."""
     from repro.badges.assignment import BadgeAssignment
     from repro.badges.pipeline import SensingModels, make_fleet
     from repro.badges.sdcard import SdCardAccountant
-    from repro.core.config import MissionConfig
     from repro.core.rng import RngRegistry
     from repro.crew.behavior import simulate_mission
     from repro.exec.executor import compute_day
     from repro.localization.pipeline import Localizer
 
-    cfg = MissionConfig(days=2, seed=13, events=None)
+    cfg = _benchmark_mission()
     truth = simulate_mission(cfg)
     assignment = BadgeAssignment(cfg=cfg, roster=truth.roster)
     models = SensingModels.default(cfg, truth.plan)
@@ -84,21 +95,46 @@ def day_compute_seconds(rounds: int = 3) -> float:
     return best
 
 
+def crew_seconds(rounds: int = 3) -> float:
+    """Best-of-``rounds`` timing of the mission's whole crew truth."""
+    from repro.crew.behavior import simulate_mission
+
+    cfg = _benchmark_mission()
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        simulate_mission(cfg)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+#: Guarded stages; each has a ``<stage>_per_calibration`` budget in
+#: ``perf_budget.json``.
+STAGES = {"day_compute": day_compute_seconds, "crew": crew_seconds}
+
+
 def run_guard(rounds: int = 3) -> dict:
-    """Measure, compare against the budget, and write the report."""
+    """Measure, compare every stage against its budget, and write the report."""
     budget = json.loads(BUDGET_PATH.read_text())
     calibration_s = calibration_seconds(rounds)
-    day_compute_s = day_compute_seconds(rounds)
-    ratio = day_compute_s / calibration_s
-    limit = budget["day_compute_per_calibration"] * (1.0 + budget["headroom"])
+    stages = {}
+    for stage, seconds_of in STAGES.items():
+        seconds = seconds_of(rounds)
+        ratio = seconds / calibration_s
+        per_calibration = budget[f"{stage}_per_calibration"]
+        limit = per_calibration * (1.0 + budget["headroom"])
+        stages[stage] = {
+            "seconds": round(seconds, 4),
+            "per_calibration": round(ratio, 3),
+            "budget_per_calibration": per_calibration,
+            "limit_per_calibration": round(limit, 3),
+            "ok": ratio <= limit,
+        }
     report = {
         "calibration_s": round(calibration_s, 4),
-        "day_compute_s": round(day_compute_s, 4),
-        "day_compute_per_calibration": round(ratio, 3),
-        "budget_per_calibration": budget["day_compute_per_calibration"],
         "headroom": budget["headroom"],
-        "limit_per_calibration": round(limit, 3),
-        "ok": ratio <= limit,
+        "stages": stages,
+        "ok": all(s["ok"] for s in stages.values()),
     }
     REPORT_PATH.parent.mkdir(exist_ok=True)
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -108,17 +144,16 @@ def run_guard(rounds: int = 3) -> dict:
 def main() -> int:
     report = run_guard()
     print(json.dumps(report, indent=2))
-    if not report["ok"]:
-        print(
-            f"PERF REGRESSION: day-compute is "
-            f"{report['day_compute_per_calibration']:.2f}x the calibration "
-            f"workload, limit {report['limit_per_calibration']:.2f}x "
-            f"(budget {report['budget_per_calibration']:.2f}x + "
-            f"{report['headroom']:.0%} headroom)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    for stage, s in report["stages"].items():
+        if not s["ok"]:
+            print(
+                f"PERF REGRESSION: {stage} is {s['per_calibration']:.2f}x the "
+                f"calibration workload, limit {s['limit_per_calibration']:.2f}x "
+                f"(budget {s['budget_per_calibration']:.2f}x + "
+                f"{report['headroom']:.0%} headroom)",
+                file=sys.stderr,
+            )
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ reading out texts for A", and so does ours.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +115,11 @@ class ConversationModel:
     ) -> None:
         room_now = rooms[:, s]
         act_now = activities[:, s]
+        may_talk = ~np.isin(act_now, [int(a) for a in SILENT_ACTIVITIES])
         for room in np.unique(room_now):
             if room < 0:
                 continue
-            members = np.flatnonzero(
-                (room_now == room)
-                & ~np.isin(act_now, [int(a) for a in SILENT_ACTIVITIES])
-            )
+            members = np.flatnonzero((room_now == room) & may_talk)
             if members.size < 2:
                 continue
             activity = Activity(int(act_now[members[0]]))
@@ -146,25 +145,35 @@ class ConversationModel:
         loud_db: float,
         rng: np.random.Generator,
     ) -> None:
-        """Alternating burst/gap process with talkativeness-weighted turns."""
+        """Alternating burst/gap process with talkativeness-weighted turns.
+
+        Turn lengths and speakers are scalar draws that take the same
+        numbers ``rng.uniform`` and ``rng.choice(n, p=weights)`` take
+        (DESIGN.md §13, the draw-order contract).
+        """
+        dt = self.dt
         weights = np.array([self.profiles[m].talkativeness for m in members])
         weights = weights / weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
+        speakers = members.tolist()
         gap_mean_s = burst_mean_s * (1.0 - duty) / max(duty, 1e-6)
         t = s
         # Randomize the phase: start mid-gap half the time.
         if rng.random() > duty:
-            t += int(rng.exponential(gap_mean_s) / self.dt)
+            t += int(rng.exponential(gap_mean_s) / dt)
         while t < e:
-            burst_frames = max(1, int(rng.exponential(burst_mean_s) / self.dt))
+            burst_frames = max(1, int(rng.exponential(burst_mean_s) / dt))
             burst_end = min(t + burst_frames, e)
             while t < burst_end:
-                turn_frames = max(1, int(rng.uniform(TURN_MIN_S, TURN_MAX_S) / self.dt))
-                turn_end = min(t + turn_frames, burst_end)
-                speaker = members[int(rng.choice(members.size, p=weights))]
+                turn_s = TURN_MIN_S + (TURN_MAX_S - TURN_MIN_S) * rng.random()
+                turn_end = min(t + max(1, int(turn_s / dt)), burst_end)
+                speaker = speakers[bisect_right(cdf, rng.random())]
                 out.speaking[speaker, t:turn_end] = True
                 out.loudness[speaker, t:turn_end] = loud_db + rng.normal(0.0, 1.5)
                 t = turn_end
-            t = burst_end + max(1, int(rng.exponential(gap_mean_s) / self.dt))
+            t = burst_end + max(1, int(rng.exponential(gap_mean_s) / dt))
 
     def _fill_tts(
         self,

@@ -9,16 +9,17 @@ shrunken wandering extent around the room center (paper Fig. 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import SimulationError
 from repro.crew.astronaut import Profile
 from repro.crew.schedule import Slot
 from repro.crew.tasks import Activity
 from repro.habitat.floorplan import OUTSIDE, FloorPlan
 from repro.habitat.geometry import Point, Rect
+from repro.habitat.rooms import Room
 
 #: Mean seconds between in-room position changes, by activity, for an
 #: astronaut of mobility 1.0 (scaled by 1/mobility otherwise).
@@ -77,42 +78,100 @@ def wander_rect(profile: Profile, room_rect: Rect) -> Rect:
     return Rect(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
 
 
+@dataclass(frozen=True)
+class _Anchors:
+    """Where an astronaut of one wander extent settles in one room.
+
+    :class:`MovementModel` builds one per (wander extent, room) and
+    reuses it for every anchor drawn there.  Each draw is a scalar
+    ``a + (b - a) * rng.random()``, the same number ``rng.uniform(a, b)``
+    draws (DESIGN.md §13, the draw-order contract).
+    """
+
+    wander: Rect
+    #: Group positions are clamped into the room shrunk by half the wall margin.
+    gather: Rect
+    center: Point
+    #: How far a wander target must lie from the current position.
+    min_distance: float
+
+    @classmethod
+    def of(cls, profile: Profile, room_rect: Rect, min_distance: float = 1.3) -> "_Anchors":
+        """The anchors of ``profile`` in ``room_rect``.
+
+        People cross the room to fetch a tool, not shuffle 20 cm; the
+        minimum distance is capped by the wanderable area so constrained
+        movers (A) are not forced beyond their comfortable extent.
+        """
+        wander = wander_rect(profile, room_rect)
+        cap = 0.7 * float(np.hypot(wander.width, wander.height))
+        return cls(wander, room_rect.shrink(WALL_MARGIN_M / 2), room_rect.center,
+                   min(min_distance, cap))
+
+    def sample(self, group: bool, rng: np.random.Generator) -> Point:
+        """A position to settle at: near the center for a ``group`` activity."""
+        if group:
+            cx, cy = self.center
+            angle = 2.0 * np.pi * rng.random()
+            radius = 0.3 + (GATHER_RADIUS_M - 0.3) * rng.random()
+            return self.gather.clamp((cx + radius * np.cos(angle), cy + radius * np.sin(angle)))
+        w = self.wander
+        x = w.x0 + (w.x1 - w.x0) * rng.random()
+        return (x, w.y0 + (w.y1 - w.y0) * rng.random())
+
+    def distant(self, group: bool, pos: Point, rng: np.random.Generator,
+                tries: int = 5) -> Point:
+        """A wander target at least :attr:`min_distance` from ``pos``
+        (the last of ``tries`` redraws otherwise)."""
+        target = self.sample(group, rng)
+        for _ in range(tries):
+            if np.hypot(target[0] - pos[0], target[1] - pos[1]) >= self.min_distance:
+                break
+            target = self.sample(group, rng)
+        return target
+
+
 def sample_anchor(profile: Profile, room_rect: Rect, activity: Activity,
                   rng: np.random.Generator) -> Point:
     """Sample a position to settle at for the current activity."""
-    if activity.is_group:
-        cx, cy = room_rect.center
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        radius = rng.uniform(0.3, GATHER_RADIUS_M)
-        p = (cx + radius * np.cos(angle), cy + radius * np.sin(angle))
-        return room_rect.shrink(WALL_MARGIN_M / 2).clamp(p)
-    pt = wander_rect(profile, room_rect).sample(rng, 1)[0]
-    return (float(pt[0]), float(pt[1]))
+    return _Anchors.of(profile, room_rect).sample(activity.is_group, rng)
 
 
 def _rasterize_walk(a: Point, waypoints: list[Point], speed: float, dt: float) -> np.ndarray:
     """Positions at each frame while walking a -> waypoints at ``speed``."""
     points = [a] + list(waypoints)
-    xs, ys, lengths = [], [], []
-    for p, q in zip(points, points[1:]):
-        seg = float(np.hypot(q[0] - p[0], q[1] - p[1]))
-        lengths.append(seg)
+    lengths = [float(np.hypot(q[0] - p[0], q[1] - p[1])) for p, q in zip(points, points[1:])]
     total = sum(lengths)
-    n_frames = max(1, int(np.ceil(total / (speed * dt))))
-    dist_at = np.arange(1, n_frames + 1) * speed * dt
-    dist_at = np.minimum(dist_at, total)
-    out = np.empty((n_frames, 2), dtype=np.float64)
+    n_frames = max(1, math.ceil(total / (speed * dt)))
+    dist_at = np.minimum(np.arange(1, n_frames + 1) * speed * dt, total)
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     seg_idx = np.searchsorted(cum, dist_at, side="right") - 1
     seg_idx = np.clip(seg_idx, 0, len(lengths) - 1)
-    for k in range(n_frames):
-        i = seg_idx[k]
-        seg_len = lengths[i] if lengths[i] > 0 else 1.0
-        frac = (dist_at[k] - cum[i]) / seg_len
-        p, q = points[i], points[i + 1]
-        out[k, 0] = p[0] + frac * (q[0] - p[0])
-        out[k, 1] = p[1] + frac * (q[1] - p[1])
-    return out
+    seg_len = np.array([length if length > 0 else 1.0 for length in lengths])
+    frac = (dist_at - cum[seg_idx]) / seg_len[seg_idx]
+    xy = np.array(points, dtype=np.float64)
+    return xy[seg_idx] + frac[:, None] * (xy[1:] - xy[:-1])[seg_idx]
+
+
+def _rasterize_walks(arrays: DayArrays, walks: list[tuple], speed: float, dt: float) -> None:
+    """Write a day's in-room walks in one array pass.
+
+    Each walk is ``(first frame, frames, x, y, dx, dy, length)``: a
+    straight leg from ``(x, y)`` toward ``(x + dx, y + dy)``.  Frame
+    ``k`` (from 1) lies ``min(k * speed * dt, length)`` along it, the
+    arithmetic :func:`_rasterize_walk` does for a one-leg walk.
+    """
+    if not walks:
+        return
+    first, count, x, y, dx, dy, length = np.array(walks, dtype=np.float64).T
+    count = count.astype(np.int64)
+    walk = np.repeat(np.arange(len(walks)), count)
+    k = np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
+    frac = np.minimum(k * speed * dt, length[walk]) / np.where(length > 0, length, 1.0)[walk]
+    frames = first.astype(np.int64)[walk] + k - 1
+    arrays.x[frames] = x[walk] + frac * dx[walk]
+    arrays.y[frames] = y[walk] + frac * dy[walk]
+    arrays.walking[frames] = True
 
 
 class MovementModel:
@@ -121,6 +180,8 @@ class MovementModel:
     def __init__(self, plan: FloorPlan, dt: float = 1.0):
         self.plan = plan
         self.dt = float(dt)
+        self._anchors: dict[tuple[float, int], _Anchors] = {}
+        self._eva_area = plan.hangar.shrink(0.5)
 
     def fill_day(
         self,
@@ -137,6 +198,7 @@ class MovementModel:
         post-incident bustle, famine lethargy).
         """
         arrays = DayArrays.empty(n_frames)
+        walks: list[tuple] = []
         plan, dt = self.plan, self.dt
         # Wake up in the bedroom.
         bedroom = plan.room("bedroom")
@@ -161,7 +223,8 @@ class MovementModel:
             i = i0
             if slot.room != cur_room_name or not cur_room_name:
                 origin = cur_room_name or "airlock"
-                anchor = sample_anchor(profile, plan.room(slot.room).rect, slot.activity, rng)
+                anchors = self._anchors_in(profile, plan.room(slot.room))
+                anchor = anchors.sample(slot.activity.is_group, rng)
                 waypoints = plan.path(origin, slot.room, cur_pos, anchor)
                 walk = _rasterize_walk(cur_pos, waypoints[1:], profile.walk_speed, dt)
                 n_walk = min(len(walk), i1 - i)
@@ -180,15 +243,24 @@ class MovementModel:
                     cur_room_name = plan.name_of(int(plan.locate(cur_pos)))
             if cur_room_name == slot.room:
                 cur_pos = self._wander(
-                    arrays, profile, slot, i, i1, cur_pos, rng, mobility_factor
+                    arrays, walks, profile, slot, i, i1, cur_pos, rng, mobility_factor
                 )
+        _rasterize_walks(arrays, walks, profile.walk_speed, dt)
         return arrays
 
     # -- internals ------------------------------------------------------
 
+    def _anchors_in(self, profile: Profile, room: Room) -> _Anchors:
+        key = (profile.wander_extent, room.index)
+        anchors = self._anchors.get(key)
+        if anchors is None:
+            anchors = self._anchors[key] = _Anchors.of(profile, room.rect)
+        return anchors
+
     def _wander(
         self,
         arrays: DayArrays,
+        walks: list[tuple],
         profile: Profile,
         slot: Slot,
         i_start: int,
@@ -197,82 +269,54 @@ class MovementModel:
         rng: np.random.Generator,
         mobility_factor: float,
     ) -> Point:
-        """Dwell/move loop inside the slot's room; returns final position."""
-        plan, dt = self.plan, self.dt
-        room = plan.room(slot.room)
-        room_idx = room.index
-        dwell_mean = DWELL_MEAN_S.get(slot.activity, 90.0)
-        rate = max(profile.mobility * mobility_factor, 0.05)
+        """Dwell/move loop inside the slot's room; returns final position.
+
+        Dwells are written here; each walk is only measured (frame count
+        and end point) and appended to ``walks`` for
+        :func:`_rasterize_walks`.
+        """
+        dt, speed = self.dt, profile.walk_speed
+        room = self.plan.room(slot.room)
+        anchors = self._anchors_in(profile, room)
+        group = slot.activity.is_group
+        dwell_scale = DWELL_MEAN_S.get(slot.activity, 90.0) / max(
+            profile.mobility * mobility_factor, 0.05)
+        arrays.room[i_start:i_end] = room.index
+        arrays.activity[i_start:i_end] = int(slot.activity)
         i = i_start
         while i < i_end:
-            dwell_s = float(np.clip(rng.exponential(dwell_mean / rate), 8.0, 900.0))
-            n_dwell = max(1, int(round(dwell_s / dt)))
-            j = min(i + n_dwell, i_end)
+            dwell_s = min(max(rng.exponential(dwell_scale), 8.0), 900.0)
+            j = min(i + max(1, int(round(dwell_s / dt))), i_end)
             arrays.x[i:j] = pos[0]
             arrays.y[i:j] = pos[1]
-            arrays.room[i:j] = room_idx
-            arrays.activity[i:j] = int(slot.activity)
             i = j
             if i >= i_end:
                 break
-            target = self._distant_anchor(profile, room.rect, slot.activity, pos, rng)
-            walk = _rasterize_walk(pos, [target], profile.walk_speed, dt)
-            n_walk = min(len(walk), i_end - i)
-            if n_walk <= 0:
-                break
-            seg = walk[:n_walk]
-            arrays.x[i:i + n_walk] = seg[:, 0]
-            arrays.y[i:i + n_walk] = seg[:, 1]
-            arrays.room[i:i + n_walk] = room_idx
-            arrays.walking[i:i + n_walk] = True
-            arrays.activity[i:i + n_walk] = int(slot.activity)
-            pos = (float(seg[-1, 0]), float(seg[-1, 1]))
+            target = anchors.distant(group, pos, rng)
+            dx, dy = target[0] - pos[0], target[1] - pos[1]
+            length = float(np.hypot(dx, dy))
+            n_walk = min(max(1, math.ceil(length / (speed * dt))), i_end - i)
+            frac = min(n_walk * speed * dt, length) / (length if length > 0 else 1.0)
+            walks.append((i, n_walk, pos[0], pos[1], dx, dy, length))
+            pos = (pos[0] + frac * dx, pos[1] + frac * dy)
             i += n_walk
         return pos
-
-    def _distant_anchor(
-        self,
-        profile: Profile,
-        room_rect: Rect,
-        activity: Activity,
-        pos: Point,
-        rng: np.random.Generator,
-        min_distance: float = 1.3,
-        tries: int = 5,
-    ) -> Point:
-        """Sample a wander target a meaningful distance away.
-
-        People cross the room to fetch a tool, not shuffle 20 cm; the
-        minimum is capped by the wanderable area so constrained movers
-        (A) are not forced beyond their comfortable extent.
-        """
-        allowed = wander_rect(profile, room_rect)
-        cap = 0.7 * float(np.hypot(allowed.width, allowed.height))
-        threshold = min(min_distance, cap)
-        target = sample_anchor(profile, room_rect, activity, rng)
-        for _ in range(tries):
-            if np.hypot(target[0] - pos[0], target[1] - pos[1]) >= threshold:
-                break
-            target = sample_anchor(profile, room_rect, activity, rng)
-        return target
 
     def _fill_outside(self, arrays: DayArrays, profile: Profile, i0: int, i1: int,
                       rng: np.random.Generator) -> None:
         """Fill an EVA window: on the regolith, outside badge coverage."""
-        hangar = self.plan.hangar
+        area = self._eva_area
+        arrays.room[i0:i1] = OUTSIDE
+        arrays.activity[i0:i1] = int(Activity.EVA)
         i = i0
-        pos = hangar.center
+        pos = self.plan.hangar.center
         while i < i1:
             n_dwell = max(1, int(rng.exponential(DWELL_MEAN_S[Activity.EVA])))
             j = min(i + n_dwell, i1)
             arrays.x[i:j] = pos[0]
             arrays.y[i:j] = pos[1]
-            arrays.room[i:j] = OUTSIDE
-            arrays.activity[i:j] = int(Activity.EVA)
             i = j
             if i >= i1:
                 break
-            pt = hangar.shrink(0.5).sample(rng, 1)[0]
-            pos = (float(pt[0]), float(pt[1]))
-        if i1 > i0 and arrays.activity[i0] != int(Activity.EVA):
-            raise SimulationError("EVA fill failed to cover its window")
+            x = area.x0 + (area.x1 - area.x0) * rng.random()
+            pos = (x, area.y0 + (area.y1 - area.y0) * rng.random())

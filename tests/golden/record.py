@@ -1,9 +1,10 @@
 """Golden digests: checked-in bytes that pin the pipeline's outputs.
 
 Data pins behaviour, not a second implementation: ``golden.json`` holds
-a digest of every per-badge-day summary field, every pairwise array,
-the SD-card total, the cache fingerprints and ``SCHEMA_VERSION`` of two
-missions, plus the top-3 regimes of both reliability sweeps.  The test
+a digest of every crew-truth array of every astronaut-day, every
+per-badge-day summary field, every pairwise array, the SD-card total,
+the cache fingerprints and ``SCHEMA_VERSION`` of two missions, plus the
+top-3 regimes of both reliability sweeps.  The test
 beside this module recomputes them; an output may change only together
 with a ``SCHEMA_VERSION`` bump and a re-recording.
 
@@ -44,6 +45,12 @@ FAULTS_MISSION = MissionConfig(
     fault_plan=FaultCampaign.reference(days=3, seed=1).generate(),
 )
 
+#: The crew-truth arrays of a :class:`~repro.crew.trace.DayTrace`, pinned
+#: per astronaut-day.
+TRUTH_FIELDS = (
+    "room", "x", "y", "walking", "speaking", "loudness", "machine_speech", "activity",
+)
+
 #: Sweep seed and size of the golden top-3 regimes (default bases).
 SWEEP_SEED = 0
 SWEEP_REGIMES = 64
@@ -71,6 +78,10 @@ def mission_digests(name: str, result) -> dict[str, str]:
         for channel in ("subghz_rssi", "ir_contact"):
             for (i, j), array in getattr(pairwise, channel).items():
                 out[f"{name}/day{day}/{channel}/{i}-{j}"] = _digest_value(array)
+    for (astro, day), trace in result.truth.traces.items():
+        for field in TRUTH_FIELDS:
+            out[f"{name}/day{day}/truth/{astro}/{field}"] = _digest_value(
+                getattr(trace, field))
     cfg = result.cfg
     out[f"{name}/sdcard_total_bytes"] = _digest_value(result.sdcard.total_bytes())
     out[f"{name}/truth_fingerprint"] = hashing.truth_fingerprint(cfg)

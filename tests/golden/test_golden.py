@@ -68,6 +68,11 @@ class TestMissionGolden:
         assert got == want, (
             f"missing {sorted(want - got)}, unrecorded {sorted(got - want)}; {HINT}")
 
+    def test_truth(self, golden, mission):
+        """Crew truth: every array of every astronaut-day."""
+        name, observed = mission
+        _check(golden, observed, rf"{name}/day\d+/truth/\w+/\w+")
+
     def test_summaries(self, golden, mission):
         name, observed = mission
         _check(golden, observed, rf"{name}/day\d+/badge\d+/\w+")
