@@ -86,12 +86,13 @@ class CheckpointJournal:
     # -- exclusive lease -------------------------------------------------
     #
     # Two processes resuming the same sensing fingerprint would interleave
-    # writes into one directory; an ``O_EXCL`` lease marker (pid + owner
-    # recorded inside) makes the journal single-writer.  A marker whose
-    # pid is no longer alive is *stale* — the holder was killed without
-    # releasing — and may be broken; the break goes through ``os.rename``
-    # to a unique name so two concurrent breakers can never each unlink
-    # the other's freshly acquired lock.
+    # writes into one directory; an ``O_EXCL`` lease marker (pid, process
+    # token and owner recorded inside) makes the journal single-writer.  A
+    # marker whose holder is no longer alive (``integrity.holder_alive``)
+    # is *stale* — the holder was killed without releasing — and may be
+    # broken; the break goes through ``os.rename`` to a unique name so two
+    # concurrent breakers can never each unlink the other's freshly
+    # acquired lock.
 
     def acquire(self, owner: str = "") -> None:
         """Take the journal's exclusive lease (idempotent per instance).
@@ -102,15 +103,17 @@ class CheckpointJournal:
         if self._locked:
             return
         payload = json.dumps({
-            "pid": os.getpid(), "owner": owner or "", "acquired_at": time.time(),
+            "pid": os.getpid(), "token": integrity.PROCESS_TOKEN,
+            "owner": owner or "", "acquired_at": time.time(),
         }).encode("utf-8")
         for attempt in range(2):
             try:
                 fd = os.open(self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
                 holder = self._read_lock()
-                holder_pid = holder.get("pid", -1) if holder is not None else -1
-                if attempt == 0 and not integrity.pid_alive(int(holder_pid)):
+                alive = holder is not None and integrity.holder_alive(
+                    int(holder.get("pid", -1)), holder.get("token"))
+                if attempt == 0 and not alive:
                     self._break_stale_lock()
                     continue
                 raise JournalBusyError(

@@ -29,9 +29,10 @@ import hashlib
 import os
 import pickle
 import re
+import secrets
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 from repro.core.errors import DataError
 from repro.obs import _state as _obs
@@ -182,6 +183,25 @@ def pid_alive(pid: int) -> bool:
     except OSError:
         return False
     return True
+
+
+#: Random token of this process, recorded beside its pid in locks and
+#: leases.  A pid can come back after its process dies: a restarted
+#: container's ``repro serve`` runs as PID 1 again, so a record carrying
+#: this process's pid may have been written by a dead predecessor.
+PROCESS_TOKEN = secrets.token_hex(8)
+
+
+def holder_alive(pid: int, token: Optional[str] = None) -> bool:
+    """Whether the process that wrote a ``(pid, token)`` record still runs.
+
+    A record with this process's pid but another token belongs to a
+    predecessor that had the same pid, so it is dead.  A record without
+    a token falls back to :func:`pid_alive`.
+    """
+    if token is not None and pid == os.getpid():
+        return token == PROCESS_TOKEN
+    return pid_alive(pid)
 
 
 def sweep_stale_tmp(root: str | Path) -> int:

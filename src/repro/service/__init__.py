@@ -17,11 +17,11 @@ Layering (each module depends only on those above it):
 - :mod:`repro.service.registry` — :class:`MissionRegistry`, the durable
   WAL-journaled job store with the monotonic ``queued → leased →
   running → done|failed|dead`` state machine, lease protocol, and
-  dead-letter table;
+  dead letters (the jobs in state ``dead``);
 - :mod:`repro.service.worker` — one leased job through the mission
   engine, resuming from its checkpoint journal;
 - :mod:`repro.service.service` — :class:`FleetService`, the supervised
-  asyncio loop (scheduler, workers, heartbeats, recovery, probes);
+  asyncio loop (self-leasing worker slots, heartbeats, recovery, probes);
 - :mod:`repro.service.client` — :class:`FleetClient`, the thin
   registry-backed client the CLI wraps.
 

@@ -71,16 +71,22 @@ class FleetClient:
                 the error carries a ``retry_after_s`` hint.
         """
         fingerprint = submission_fingerprint(cfg, quality)
-        n_workers = int(self.registry.get_meta("n_workers", 1))
-        nominal = float(self.registry.get_meta("nominal_job_s", 5.0))
         record, deduped = self.registry.submit(
             fingerprint=fingerprint, config=config_to_dict(cfg),
             quality=quality, tenant=tenant, now=time.time(),
-            retry_after=lambda depth: max(1.0, depth * nominal / n_workers))
+            retry_after=self._retry_after_s)
         return SubmitReceipt(
             job_id=record.job_id, fingerprint=record.fingerprint,
             state=record.state, deduped=deduped,
             submit_count=record.submit_count + (1 if deduped else 0))
+
+    def _retry_after_s(self, depth: int) -> float:
+        """Suggested wait for a rejected submitter: the time the workers
+        take to drain ``depth`` jobs at the measured mean job time (5 s
+        until a job has finished)."""
+        n_workers = int(self.registry.get_meta("n_workers", 1))
+        mean_job_s = self.registry.mean_job_s()
+        return max(1.0, depth * (mean_job_s or 5.0) / n_workers)
 
     def status(self, ref: str) -> JobRecord:
         """Registry record for a job id / fingerprint (or unique prefix)."""

@@ -36,38 +36,31 @@ class ServiceConfig:
             would push queued+leased+running past it is rejected with a
             :class:`~repro.service.errors.QueueFullError` carrying a
             retry-after hint.
-        lease_s: lease duration granted to a worker; heartbeats extend
-            it, and a lease whose deadline passes without one is
-            requeued (the holder is presumed dead or hung).
-        heartbeat_s: interval between lease heartbeats; must leave
-            comfortable slack under ``lease_s``.
+        lease_s: lease duration granted to a worker; heartbeats every
+            third of it extend it, and a lease whose deadline passes
+            without one is requeued (the holder is presumed dead or hung).
         max_attempts: per-job retry budget — lease acquisitions,
-            including post-crash re-leases — before the job moves to
-            the dead-letter table instead of requeueing.
+            including post-crash re-leases — before the job is
+            dead-lettered (state ``dead``) instead of requeued.
         retry_backoff_s: base of the exponential requeue backoff.
-        backoff_cap_s: upper bound on one backoff delay.
         backoff_seed: seed of the jitter RNG so retry schedules are
             reproducible.
         job_timeout_s: optional per-job wall-clock deadline; a job
             running longer stops being heartbeated, its lease expires,
             and it is requeued against the retry budget.
-        poll_s: scheduler poll interval (lease scans, probe refresh).
-        nominal_job_s: rough per-job service time used only to compute
-            the retry-after hint handed to rejected submitters.
+        poll_s: supervisor poll interval (filling idle worker slots,
+            the expired-lease sweep, drain detection).
     """
 
     root: str
     n_workers: int = 2
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     lease_s: float = 30.0
-    heartbeat_s: Optional[float] = None
     max_attempts: int = 3
     retry_backoff_s: float = 0.25
-    backoff_cap_s: float = 30.0
     backoff_seed: int = 0
     job_timeout_s: Optional[float] = None
     poll_s: float = 0.05
-    nominal_job_s: float = 5.0
 
     def __post_init__(self) -> None:
         if not str(self.root):
@@ -78,20 +71,14 @@ class ServiceConfig:
             raise ConfigError("queue_depth must be >= 1")
         if self.lease_s <= 0:
             raise ConfigError("lease_s must be positive")
-        if self.heartbeat_s is not None and not 0 < self.heartbeat_s < self.lease_s:
-            raise ConfigError("heartbeat_s must lie in (0, lease_s)")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
         if self.retry_backoff_s < 0:
             raise ConfigError("retry_backoff_s must be >= 0")
-        if self.backoff_cap_s <= 0:
-            raise ConfigError("backoff_cap_s must be positive")
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise ConfigError("job_timeout_s must be positive or None")
         if self.poll_s <= 0:
             raise ConfigError("poll_s must be positive")
-        if self.nominal_job_s <= 0:
-            raise ConfigError("nominal_job_s must be positive")
 
     # -- derived paths ---------------------------------------------------
 
@@ -116,11 +103,6 @@ class ServiceConfig:
         return self.root_path / "results"
 
     @property
-    def effective_heartbeat_s(self) -> float:
-        """Heartbeat interval: explicit, or a third of the lease."""
-        return self.heartbeat_s if self.heartbeat_s is not None else self.lease_s / 3.0
-
-    def retry_after_s(self, depth: int) -> float:
-        """Suggested wait for a rejected submitter: time for the current
-        backlog to drain one slot, given the worker pool."""
-        return max(1.0, depth * self.nominal_job_s / self.n_workers)
+    def heartbeat_s(self) -> float:
+        """Lease heartbeat (and health-probe refresh) interval."""
+        return self.lease_s / 3.0

@@ -22,9 +22,14 @@ registry is what makes the service survive ``kill -9``:
   passes (holder killed, hung, or partitioned) is requeued against the
   retry budget; a stale holder's late ``complete()``/``fail()`` is
   rejected by the token guard, so a job can never be double-acknowledged.
+  Each lease records its holder's pid and ``host:pid:token`` owner, so a
+  restart can tell a dead holder's leases from its own even when it got
+  the dead holder's pid back (:func:`repro.exec.integrity.holder_alive`).
 * **dead letters, never silence** — a job that exhausts its budget moves
-  to ``dead`` *and* into a ``dead_letters`` table with its last error,
-  mirroring the reliable bus's DLQ (:mod:`repro.support.reliable`).
+  to the terminal state ``dead`` with its last error and ``finished_at``
+  kept on its row, mirroring the reliable bus's DLQ
+  (:mod:`repro.support.reliable`); :meth:`MissionRegistry.dead_letters`
+  lists those rows.
 
 Clients in other processes open the same file; SQLite's locking plus the
 guarded transitions make every operation linearizable.  All timestamps
@@ -35,7 +40,9 @@ without clock patching.
 from __future__ import annotations
 
 import json
+import os
 import secrets
+import socket
 import sqlite3
 import threading
 from dataclasses import dataclass
@@ -94,15 +101,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     error          TEXT
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, not_before, submitted_at);
-CREATE TABLE IF NOT EXISTS dead_letters (
-    job_id      TEXT NOT NULL,
-    fingerprint TEXT NOT NULL,
-    tenant      TEXT NOT NULL DEFAULT '',
-    config      TEXT NOT NULL,
-    attempts    INTEGER NOT NULL,
-    error       TEXT,
-    died_at     REAL NOT NULL
-);
 CREATE TABLE IF NOT EXISTS transitions (
     job_id TEXT NOT NULL,
     at     REAL NOT NULL,
@@ -171,6 +169,17 @@ def _record(row) -> JobRecord:
     data = dict(zip(_JOB_COLUMNS, row))
     data["config"] = json.loads(data["config"])
     return JobRecord(**data)
+
+
+def process_owner() -> str:
+    """This process's lease and probe owner, ``host:pid:token``."""
+    return f"{socket.gethostname()}:{os.getpid()}:{integrity.PROCESS_TOKEN}"
+
+
+def _owner_token(owner: Optional[str]) -> Optional[str]:
+    """Process token of a ``host:pid:token`` owner; None for older owners."""
+    parts = (owner or "").split(":")
+    return parts[2] if len(parts) == 3 else None
 
 
 def _count_service(name: str, help_: str, tenant: str, n: float = 1) -> None:
@@ -335,8 +344,8 @@ class MissionRegistry:
 
         The claim grants a fresh random lease token and a deadline
         ``now + lease_s``; the attempt is charged to the retry budget at
-        lease time, so a crash-looping job converges on the dead-letter
-        table no matter where in its life it keeps dying.
+        lease time, so a crash-looping job converges on ``dead`` no
+        matter where in its life it keeps dying.
         """
         token = secrets.token_hex(8)
         with self._tx() as cur:
@@ -363,9 +372,15 @@ class MissionRegistry:
 
     def mark_running(self, job_id: str, token: str, now: float) -> bool:
         """``leased → running``; False when the lease was lost meanwhile."""
-        return self._guarded_transition(
-            job_id, token, now, srcs=("leased",), dst="running",
-            sets="", args=())
+        with self._tx() as cur:
+            cur.execute(
+                "UPDATE jobs SET state='running' "
+                "WHERE job_id=? AND lease_token=? AND state='leased'",
+                (job_id, token))
+            if cur.rowcount != 1:
+                return False
+            self._log_transition(cur, job_id, now, "leased", "running", "")
+            return True
 
     def heartbeat(self, job_id: str, token: str, *, now: float,
                   lease_s: float) -> bool:
@@ -420,24 +435,6 @@ class MissionRegistry:
             return self._fail_locked(cur, job_id, src, attempts, budget,
                                      error, now, backoff_s)
 
-    def release(self, job_id: str, token: str, now: float) -> bool:
-        """``leased → queued`` without charging the budget.
-
-        Graceful-shutdown path for leases whose work never started; the
-        attempt charged at lease time is refunded.
-        """
-        with self._tx() as cur:
-            cur.execute(
-                "UPDATE jobs SET state='queued', attempts = attempts - 1,"
-                " lease_token=NULL, lease_owner=NULL, lease_pid=NULL,"
-                " leased_at=NULL, lease_deadline=NULL, not_before=? "
-                "WHERE job_id=? AND lease_token=? AND state='leased'",
-                (now, job_id, token))
-            if cur.rowcount != 1:
-                return False
-            self._log_transition(cur, job_id, now, "leased", "queued", "released")
-            return True
-
     def recover_expired(self, *, now: float,
                         backoff: Callable[[int], float]) -> list[str]:
         """Requeue (or dead-letter) every lease whose deadline passed.
@@ -458,16 +455,16 @@ class MissionRegistry:
 
         Startup crash recovery: after a ``kill -9`` of the whole service
         the dead workers' leases may be nowhere near their deadlines;
-        waiting them out would stall the restart, and the pid liveness
-        check is conclusive on a single host.
+        waiting them out would stall the restart, and the liveness check
+        on the lease's pid and owner token is conclusive on a single host.
         """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT job_id, lease_pid FROM jobs "
+                "SELECT job_id, lease_pid, lease_owner FROM jobs "
                 "WHERE state IN ('leased','running') AND lease_pid IS NOT NULL"
             ).fetchall()
-        dead = [job_id for job_id, pid in rows
-                if pid is not None and not integrity.pid_alive(int(pid))]
+        dead = [job_id for job_id, pid, owner in rows
+                if not integrity.holder_alive(int(pid), _owner_token(owner))]
         recovered = []
         for job_id in dead:
             recovered += self._recover(
@@ -486,8 +483,7 @@ class MissionRegistry:
                 if attempts >= budget:
                     self._dead_letter_locked(cur, job_id, src,
                                              f"{reason} (budget spent)", now)
-                    _count_service("dead", "jobs moved to the dead-letter table",
-                                   tenant)
+                    _count_service("dead", "jobs dead-lettered", tenant)
                 else:
                     cur.execute(
                         "UPDATE jobs SET state='queued', lease_token=NULL,"
@@ -510,7 +506,7 @@ class MissionRegistry:
             "SELECT tenant FROM jobs WHERE job_id=?", (job_id,)).fetchone()[0]
         if attempts >= budget:
             self._dead_letter_locked(cur, job_id, src, error, now)
-            _count_service("dead", "jobs moved to the dead-letter table", tenant)
+            _count_service("dead", "jobs dead-lettered", tenant)
             return "dead"
         cur.execute(
             "UPDATE jobs SET state='failed', lease_token=NULL, lease_owner=NULL,"
@@ -528,25 +524,7 @@ class MissionRegistry:
             "UPDATE jobs SET state='dead', lease_token=NULL, lease_owner=NULL,"
             " lease_pid=NULL, leased_at=NULL, lease_deadline=NULL,"
             " finished_at=?, error=? WHERE job_id=?", (now, error, job_id))
-        cur.execute(
-            "INSERT INTO dead_letters (job_id, fingerprint, tenant, config,"
-            " attempts, error, died_at) "
-            "SELECT job_id, fingerprint, tenant, config, attempts, ?, ? "
-            "FROM jobs WHERE job_id=?", (error, now, job_id))
         self._log_transition(cur, job_id, now, src, "dead", error)
-
-    def _guarded_transition(self, job_id: str, token: str, now: float, *,
-                            srcs: tuple, dst: str, sets: str, args: tuple) -> bool:
-        placeholders = ",".join("?" for _ in srcs)
-        with self._tx() as cur:
-            cur.execute(
-                f"UPDATE jobs SET state=?{sets} "
-                f"WHERE job_id=? AND lease_token=? AND state IN ({placeholders})",
-                (dst, *args, job_id, token, *srcs))
-            if cur.rowcount != 1:
-                return False
-            self._log_transition(cur, job_id, now, "|".join(srcs), dst, "")
-            return True
 
     def _log_transition(self, cur, job_id: str, now: float, src: str,
                         dst: str, detail: str) -> None:
@@ -615,11 +593,19 @@ class MissionRegistry:
                 f"SELECT COUNT(*) FROM jobs WHERE state IN ({placeholders})",
                 ACTIVE_STATES).fetchone()[0]
 
+    def mean_job_s(self) -> Optional[float]:
+        """Mean lease-to-done time of done jobs; None before the first."""
+        with self._lock:
+            return self._conn.execute(
+                "SELECT AVG(finished_at - leased_at) FROM jobs "
+                "WHERE state='done'").fetchone()[0]
+
     def dead_letters(self) -> list[dict]:
+        """Dead jobs with their last error, oldest death first."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT job_id, fingerprint, tenant, attempts, error, died_at "
-                "FROM dead_letters ORDER BY died_at").fetchall()
+                "SELECT job_id, fingerprint, tenant, attempts, error, finished_at "
+                "FROM jobs WHERE state='dead' ORDER BY finished_at").fetchall()
         return [dict(zip(("job_id", "fingerprint", "tenant", "attempts",
                           "error", "died_at"), row)) for row in rows]
 
@@ -652,11 +638,11 @@ class MissionRegistry:
         if row is None:
             return None
         owner, pid, state, updated_at, detail = row
+        live = integrity.holder_alive(int(pid), _owner_token(owner))
         return {
             "owner": owner, "pid": pid, "state": state,
             "updated_at": updated_at, "detail": detail,
-            "live": integrity.pid_alive(int(pid)),
-            "ready": state == "ready" and integrity.pid_alive(int(pid)),
+            "live": live, "ready": state == "ready" and live,
         }
 
 

@@ -2,20 +2,16 @@
 
 ``FleetService.run()`` drives the whole lifecycle on one asyncio loop:
 
-* a **scheduler** task leases due jobs from the durable registry and
-  feeds a bounded :class:`asyncio.Queue` (depth = worker count — leases
-  are only taken when a worker slot is in sight, so lease ages stay
-  short and backpressure reaches the registry, where admission control
-  rejects submissions past the configured backlog);
-* ``n_workers`` **worker** tasks drain the queue, each running its
-  mission in a thread (:func:`repro.service.worker.execute_job`) under a
-  heartbeat that keeps the lease alive — until the optional per-job
-  deadline passes, after which the heartbeat stops on purpose and the
-  lease-expiry sweep reclaims the job;
-* the scheduler doubles as **supervisor**: it heartbeats jobs still
-  waiting in the queue, requeues expired leases with seeded-jitter
-  exponential backoff (dead-lettering past the retry budget), refreshes
-  the health probe, and exports the ``service.*`` telemetry.
+* up to ``n_workers`` **slot** tasks each run one leased job — mark it
+  running, execute it in a thread (:func:`repro.service.worker.execute_job`)
+  under a lease heartbeat that stops on purpose once the optional per-job
+  deadline passes, then complete or fail it — and lease the next due job
+  themselves.  A job is leased only by the slot that runs it, so the
+  service never holds more leases than it has workers;
+* the **supervisor** loop starts a slot for each due job while slots are
+  free, requeues expired leases with seeded-jitter exponential backoff
+  (dead-lettering past the retry budget), refreshes the health probe,
+  exports the ``service.*`` telemetry, and detects a finished drain.
 
 Crash recovery is a property of the registry + journal, not of this
 loop: on startup the service requeues every lease whose owning process
@@ -31,7 +27,6 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-import socket
 import time
 from typing import Optional
 
@@ -43,7 +38,7 @@ from repro.obs import metrics as _metrics
 from repro.service import worker as worker_mod
 from repro.service.config import ServiceConfig
 from repro.service.queue import BackoffPolicy
-from repro.service.registry import JobRecord, MissionRegistry
+from repro.service.registry import JobRecord, MissionRegistry, process_owner
 
 log = get_logger("repro.service")
 
@@ -55,16 +50,13 @@ class FleetService:
                  chaos: Optional[ServiceChaos] = None):
         self.config = config
         self.chaos = chaos or ServiceChaos()
-        self.owner = f"{socket.gethostname()}:{os.getpid()}"
+        self.owner = process_owner()
         self.registry: Optional[MissionRegistry] = None
         self._backoff = BackoffPolicy(
-            base_s=config.retry_backoff_s, cap_s=config.backoff_cap_s,
-            seed=config.backoff_seed)
-        self._queue: Optional[asyncio.Queue] = None
+            base_s=config.retry_backoff_s, seed=config.backoff_seed)
         self._stop = asyncio.Event()
-        #: Leased jobs sitting in the asyncio queue (scheduler keeps
-        #: their leases alive until a worker picks them up).
-        self._awaiting: dict[str, JobRecord] = {}
+        #: Slot tasks, at most ``n_workers``; each holds one lease.
+        self._slots: set[asyncio.Task] = set()
         self.stats = {
             "completed": 0, "failed": 0, "dead": 0, "requeued": 0,
             "recovered_on_start": 0, "lease_lost": 0, "journal_busy": 0,
@@ -86,7 +78,7 @@ class FleetService:
         self.registry = MissionRegistry.open(cfg.db_path, create=True)
         self.registry.set_meta(
             queue_depth=cfg.queue_depth, max_attempts=cfg.max_attempts,
-            n_workers=cfg.n_workers, nominal_job_s=cfg.nominal_job_s)
+            n_workers=cfg.n_workers)
         now = time.time()
         recovered = self.registry.recover_orphans(
             now=now, backoff=lambda attempts: 0.0)
@@ -106,58 +98,32 @@ class FleetService:
                 except (NotImplementedError, RuntimeError):
                     pass
 
-        self._queue = asyncio.Queue(maxsize=cfg.n_workers)
-        workers = [
-            asyncio.create_task(self._worker(i), name=f"service-worker-{i}")
-            for i in range(cfg.n_workers)
-        ]
         try:
             await self._supervise(drain=drain)
         finally:
-            # Graceful shutdown: release leases nobody started, then let
-            # in-flight work finish and acknowledge.
-            while self._queue is not None and not self._queue.empty():
-                job = self._queue.get_nowait()
-                if job is not None:
-                    self._awaiting.pop(job.job_id, None)
-                    self.registry.release(job.job_id, job.lease_token,
-                                          now=time.time())
-            for _ in workers:
-                await self._queue.put(None)
-            await asyncio.gather(*workers, return_exceptions=True)
-            self.registry.set_probe(
-                owner=self.owner, pid=os.getpid(),
-                state="drained" if drain and not self._stop.is_set() else "stopped",
-                now=time.time())
+            # Graceful shutdown: slots lease nothing more, and in-flight
+            # work finishes and acknowledges.
+            state = "drained" if drain and not self._stop.is_set() else "stopped"
+            self._stop.set()
+            await asyncio.gather(*self._slots, return_exceptions=True)
+            self.registry.set_probe(owner=self.owner, pid=os.getpid(),
+                                    state=state, now=time.time())
             self.registry.close()
         return dict(self.stats)
 
-    # -- supervisor / scheduler ---------------------------------------------
+    # -- supervisor ----------------------------------------------------------
 
     async def _supervise(self, *, drain: bool) -> None:
         cfg = self.config
         registry = self.registry
         last_probe = 0.0
         while not self._stop.is_set():
+            self._fill_slots()
             now = time.time()
-            leased = None
-            if not self._queue.full():
-                leased = registry.lease_next(
-                    owner=self.owner, pid=os.getpid(), now=now,
-                    lease_s=cfg.lease_s)
-            if leased is not None:
-                self._awaiting[leased.job_id] = leased
-                await self._queue.put(leased)
-                continue
-            # Keep queued-but-unstarted leases alive; workers own the
-            # heartbeats of jobs they have picked up.
-            for job in list(self._awaiting.values()):
-                registry.heartbeat(job.job_id, job.lease_token,
-                                   now=now, lease_s=cfg.lease_s)
             requeued = registry.recover_expired(
                 now=now, backoff=self._backoff.delay_s)
             self.stats["requeued"] += len(requeued)
-            if now - last_probe >= cfg.effective_heartbeat_s:
+            if now - last_probe >= cfg.heartbeat_s:
                 last_probe = now
                 counts = registry.counts()
                 registry.set_probe(owner=self.owner, pid=os.getpid(),
@@ -168,7 +134,7 @@ class FleetService:
                         "service.queue_depth",
                         "jobs occupying backlog slots (queued+leased+running)",
                     ).set(registry.active_count())
-            if drain and registry.active_count() == 0 and not self._awaiting:
+            if drain and registry.active_count() == 0:
                 log.info("drain-complete", stats=dict(self.stats))
                 return
             try:
@@ -176,51 +142,76 @@ class FleetService:
             except asyncio.TimeoutError:
                 pass
 
-    # -- workers ------------------------------------------------------------
-
-    async def _worker(self, index: int) -> None:
-        cfg = self.config
-        registry = self.registry
-        while True:
-            job = await self._queue.get()
+    def _fill_slots(self) -> None:
+        """Start a slot for each due job while slots are free."""
+        while len(self._slots) < self.config.n_workers:
+            job = self._lease_next()
             if job is None:
                 return
-            self._awaiting.pop(job.job_id, None)
-            now = time.time()
-            if not registry.mark_running(job.job_id, job.lease_token, now):
-                # Lease expired while queued; the requeued twin owns it now.
-                self.stats["lease_lost"] += 1
-                continue
-            beat = asyncio.create_task(
-                self._heartbeat(job, started=now),
-                name=f"heartbeat-{job.job_id}")
-            try:
-                path, digest = await asyncio.to_thread(
-                    worker_mod.execute_job, job,
-                    cache_dir=cfg.cache_dir, journal_dir=cfg.journal_dir,
-                    results_dir=cfg.results_dir)
-            except JournalBusyError as exc:
-                self.stats["journal_busy"] += 1
-                self._fail(job, f"journal-busy: {exc}")
-            except Exception as exc:  # noqa: BLE001 — any job error is a job failure
-                self._fail(job, f"{type(exc).__name__}: {exc}")
+            slot = asyncio.create_task(self._slot(job))
+            self._slots.add(slot)
+            slot.add_done_callback(self._slot_done)
+
+    def _slot_done(self, slot: asyncio.Task) -> None:
+        self._slots.discard(slot)
+        if not slot.cancelled() and slot.exception() is not None:
+            # The next poll starts a fresh slot; the lost lease expires.
+            log.error("slot-crashed", error=repr(slot.exception()))
+
+    def _lease_next(self) -> Optional[JobRecord]:
+        """The oldest due job, leased; None if none or stopping."""
+        if self._stop.is_set():
+            return None
+        return self.registry.lease_next(
+            owner=self.owner, pid=os.getpid(), now=time.time(),
+            lease_s=self.config.lease_s)
+
+    # -- worker slots ---------------------------------------------------------
+
+    async def _slot(self, job: JobRecord) -> None:
+        """Run leased jobs one after another until none is due."""
+        while job is not None:
+            await self._run_job(job)
+            job = self._lease_next()
+
+    async def _run_job(self, job: JobRecord) -> None:
+        cfg = self.config
+        registry = self.registry
+        now = time.time()
+        if not registry.mark_running(job.job_id, job.lease_token, now):
+            # Lease expired before the job started; its requeued twin owns it.
+            self.stats["lease_lost"] += 1
+            return
+        beat = asyncio.create_task(
+            self._heartbeat(job, started=now),
+            name=f"heartbeat-{job.job_id}")
+        try:
+            path, digest = await asyncio.to_thread(
+                worker_mod.execute_job, job,
+                cache_dir=cfg.cache_dir, journal_dir=cfg.journal_dir,
+                results_dir=cfg.results_dir)
+        except JournalBusyError as exc:
+            self.stats["journal_busy"] += 1
+            self._fail(job, f"journal-busy: {exc}")
+        except Exception as exc:  # noqa: BLE001 — any job error is a job failure
+            self._fail(job, f"{type(exc).__name__}: {exc}")
+        else:
+            done_at = time.time()
+            if registry.complete(job.job_id, job.lease_token,
+                                 result_path=path, result_digest=digest,
+                                 now=done_at):
+                self.stats["completed"] += 1
+                if _obs.enabled and job.leased_at is not None:
+                    _metrics.histogram(
+                        "service.lease_age_s",
+                        "lease age at completion, seconds",
+                    ).observe(done_at - job.leased_at, tenant=job.tenant)
+                self.chaos.on_completion(self.stats["completed"])
             else:
-                done_at = time.time()
-                if registry.complete(job.job_id, job.lease_token,
-                                     result_path=path, result_digest=digest,
-                                     now=done_at):
-                    self.stats["completed"] += 1
-                    if _obs.enabled and job.leased_at is not None:
-                        _metrics.histogram(
-                            "service.lease_age_s",
-                            "lease age at completion, seconds",
-                        ).observe(done_at - job.leased_at, tenant=job.tenant)
-                    self.chaos.on_completion(self.stats["completed"])
-                else:
-                    self.stats["lease_lost"] += 1
-                    log.warning("stale-completion-rejected", job_id=job.job_id)
-            finally:
-                beat.cancel()
+                self.stats["lease_lost"] += 1
+                log.warning("stale-completion-rejected", job_id=job.job_id)
+        finally:
+            beat.cancel()
 
     def _fail(self, job: JobRecord, error: str) -> None:
         outcome = self.registry.fail(
@@ -238,7 +229,7 @@ class FleetService:
     async def _heartbeat(self, job: JobRecord, *, started: float) -> None:
         cfg = self.config
         while True:
-            await asyncio.sleep(cfg.effective_heartbeat_s)
+            await asyncio.sleep(cfg.heartbeat_s)
             if (cfg.job_timeout_s is not None
                     and time.time() - started > cfg.job_timeout_s):
                 # Deliberately stop renewing: the lease expires and the

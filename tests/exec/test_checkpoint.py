@@ -204,6 +204,20 @@ class TestJournalLease:
         with pytest.raises(JournalBusyError):
             CheckpointJournal(tmp_path, cfg, exclusive=True)
 
+    def test_own_pid_with_another_token_is_broken(self, cfg, tmp_path):
+        """A restart that got its killed predecessor's pid back (PID 1 in
+        a container) sees that pid alive; the process token tells them
+        apart, so the predecessor's marker is stale."""
+        import json
+        import os
+
+        journal = CheckpointJournal(tmp_path, cfg)
+        (journal.dir / "journal.lock").write_text(
+            json.dumps({"pid": os.getpid(), "token": "predecessor",
+                        "owner": "ghost", "acquired_at": 0.0}))
+        taker = CheckpointJournal(tmp_path, cfg, exclusive=True)
+        taker.close()
+
     def test_non_exclusive_journal_ignores_the_lease(self, cfg, tmp_path):
         """Read-side journals (and legacy callers) never contend."""
         holder = CheckpointJournal(tmp_path, cfg, exclusive=True)

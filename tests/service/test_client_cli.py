@@ -5,12 +5,14 @@ non-zero with one line on stderr — never a traceback — and admission
 rejections exit 75 (EX_TEMPFAIL).
 """
 
+import os
 import sqlite3
 
 import pytest
 
+from repro import MissionConfig
 from repro.__main__ import main
-from repro.service import FleetClient, ServiceError
+from repro.service import FleetClient, QueueFullError, ServiceError
 from repro.service import service as service_mod
 
 
@@ -118,6 +120,22 @@ class TestBackpressure:
         err = capsys.readouterr().err
         assert "queue full (1/1" in err
         assert "retry after" in err
+
+
+    def test_retry_hint_uses_the_measured_job_time(self, root):
+        with FleetClient(root, create=True) as client:
+            client.registry.set_meta(queue_depth=2, n_workers=2)
+            client.submit(MissionConfig(days=2, seed=1))
+            job = client.registry.lease_next(owner="w", pid=os.getpid(),
+                                             now=100.0, lease_s=30.0)
+            client.registry.complete(job.job_id, job.lease_token,
+                                     result_path="r", result_digest="d",
+                                     now=108.0)
+            for seed in (2, 3):
+                client.submit(MissionConfig(days=2, seed=seed))
+            with pytest.raises(QueueFullError) as err:
+                client.submit(MissionConfig(days=2, seed=4))
+        assert err.value.retry_after_s == 8.0  # 2 jobs x 8 s / 2 workers
 
 
 class TestClient:

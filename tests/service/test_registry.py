@@ -5,6 +5,7 @@ exercised on a synthetic clock — no sleeps, no racing.
 """
 
 import os
+import socket
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.service import (
     RegistryUnavailable,
     UnknownJobError,
 )
+from repro.service.registry import process_owner
 
 NO_BACKOFF = lambda attempts: 0.0  # noqa: E731
 
@@ -144,15 +146,6 @@ class TestLeaseProtocol:
                                      now=121.0)
         assert registry.get(job.job_id).completions == 1
 
-    def test_release_refunds_the_attempt(self, registry):
-        submit(registry)
-        job = lease(registry)
-        assert registry.release(job.job_id, job.lease_token, now=120.0)
-        requeued = registry.get(job.job_id)
-        assert requeued.state == "queued"
-        assert requeued.attempts == 0
-        assert requeued.lease_token is None
-
     def test_mark_running_transition(self, registry):
         submit(registry)
         job = lease(registry)
@@ -240,6 +233,18 @@ class TestRecovery:
         assert registry.get(orphan.job_id).state == "queued"
         assert registry.get(mine.job_id).state == "leased"
 
+    def test_orphans_of_predecessor_under_own_pid_requeued(self, registry):
+        """A restart that got its predecessor's pid back tells the
+        predecessor's leases from its own by the owner's process token."""
+        submit(registry, 0)
+        submit(registry, 1)
+        orphan = lease(registry,
+                       owner=f"{socket.gethostname()}:{os.getpid()}:predecessor")
+        mine = lease(registry, owner=process_owner())
+        recovered = registry.recover_orphans(now=120.0, backoff=NO_BACKOFF)
+        assert recovered == [orphan.job_id]
+        assert registry.get(mine.job_id).state == "leased"
+
     def test_reopen_sees_everything(self, registry, tmp_path):
         """Durability: a fresh connection sees the committed state."""
         record, _ = submit(registry)
@@ -271,6 +276,16 @@ class TestQueriesAndProbes:
                            now=101.0)
         probe = registry.probe()
         assert not probe["live"] and not probe["ready"]
+
+    def test_mean_job_s_measures_done_jobs(self, registry):
+        assert registry.mean_job_s() is None
+        for i, (leased_at, done_at) in enumerate([(110.0, 113.0),
+                                                  (120.0, 125.0)]):
+            submit(registry, i)
+            job = lease(registry, now=leased_at)
+            registry.complete(job.job_id, job.lease_token, result_path="r",
+                              result_digest="d", now=done_at)
+        assert registry.mean_job_s() == 4.0
 
     def test_meta_round_trip(self, registry):
         registry.set_meta(queue_depth=64, nominal_job_s=2.5)

@@ -4,15 +4,23 @@
 tier-1-fast; the real mission path is covered by the chaos suite.
 """
 
+import json
+import os
+import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import MissionConfig
+from repro.exec.checkpoint import CheckpointJournal
+from repro.experiments.submission import config_from_dict
 from repro.service import (
     FleetClient,
     FleetService,
+    MissionRegistry,
+    RegistryUnavailable,
     ServiceConfig,
     serve,
 )
@@ -63,6 +71,24 @@ class TestDrain:
                 record = client.status(receipt.job_id)
                 assert record.state == "done"
                 assert record.completions == 1
+
+    def test_never_holds_more_leases_than_workers(self, root, monkeypatch):
+        """A job is leased only by the worker slot that runs it."""
+        held = []
+
+        def execute(job, *, cache_dir, journal_dir, results_dir):
+            time.sleep(0.02)
+            with FleetClient(root) as client:
+                counts = client.registry.counts()
+            held.append(counts["leased"] + counts["running"])
+            return str(results_dir / f"{job.fingerprint}.pkl"), "digest"
+
+        monkeypatch.setattr(service_mod.worker_mod, "execute_job", execute)
+        submit_all(root, [MissionConfig(days=2, seed=s) for s in range(8)])
+        stats = serve(config(root, n_workers=2), drain=True)
+        assert stats["completed"] == 8
+        assert len(held) == 8
+        assert max(held) <= 2
 
     def test_empty_registry_drains_immediately(self, root):
         stats = serve(config(root), drain=True)
@@ -161,6 +187,57 @@ class TestServeMode:
             assert record.state == "done"
             assert record.completions == 1
 
+    def test_restart_under_predecessor_pid_runs_its_jobs(self, root,
+                                                           monkeypatch):
+        """A restart that got its killed predecessor's pid back (PID 1 in
+        a container) recovers the predecessor's lease at start-up and
+        breaks its journal lock, although that pid reads as alive."""
+        def execute(job, *, cache_dir, journal_dir, results_dir):
+            # Takes the journal lease exactly as the real execute_job does.
+            cfg = config_from_dict(job.config)
+            with CheckpointJournal(journal_dir, cfg, exclusive=True):
+                return str(results_dir / "r.pkl"), "digest"
+
+        monkeypatch.setattr(service_mod.worker_mod, "execute_job", execute)
+        cfg = MissionConfig(days=2, seed=1)
+        (receipt,) = submit_all(root, [cfg])
+        predecessor = f"{socket.gethostname()}:{os.getpid()}:predecessor"
+        with FleetClient(root) as client:
+            assert client.registry.lease_next(
+                owner=predecessor, pid=os.getpid(), now=time.time(),
+                lease_s=0.2) is not None
+        journal = CheckpointJournal(Path(root) / "journal", cfg)
+        (journal.dir / "journal.lock").write_text(
+            json.dumps({"pid": os.getpid(), "token": "predecessor",
+                        "owner": predecessor, "acquired_at": 0.0}))
+        stats = serve(config(root, max_attempts=3), drain=True)
+        assert stats["recovered_on_start"] == 1
+        assert stats["journal_busy"] == 0
+        with FleetClient(root) as client:
+            record = client.status(receipt.job_id)
+            assert record.state == "done"
+            assert record.completions == 1
+
+    def test_crashed_slot_is_replaced(self, root, monkeypatch):
+        """A registry error inside a slot ends only that slot: the next
+        poll starts another, and the job's lost lease expires and reruns."""
+        execute, calls = fake_execute(root)
+        monkeypatch.setattr(service_mod.worker_mod, "execute_job", execute)
+        mark_running = MissionRegistry.mark_running
+        errors = [RegistryUnavailable("registry briefly unavailable")]
+
+        def flaky(self, *args, **kwargs):
+            if errors:
+                raise errors.pop()
+            return mark_running(self, *args, **kwargs)
+
+        monkeypatch.setattr(MissionRegistry, "mark_running", flaky)
+        (receipt,) = submit_all(root, [MissionConfig(days=2, seed=1)])
+        stats = serve(config(root, n_workers=1, lease_s=0.3), drain=True)
+        assert stats["completed"] == 1
+        assert stats["requeued"] == 1
+        assert len(calls) == 1
+
     def test_job_timeout_requeues_hung_job(self, root, monkeypatch):
         """A hung worker stops heartbeating; the sweep reclaims the job."""
         hangs = {"n": 0}
@@ -174,8 +251,8 @@ class TestServeMode:
         monkeypatch.setattr(service_mod.worker_mod, "execute_job", hang_once)
         (receipt,) = submit_all(root, [MissionConfig(days=2, seed=1)])
         stats = serve(
-            config(root, n_workers=1, lease_s=0.3, heartbeat_s=0.05,
-                   job_timeout_s=0.2, max_attempts=3),
+            config(root, n_workers=1, lease_s=0.3, job_timeout_s=0.2,
+                   max_attempts=3),
             drain=True)
         assert hangs["n"] >= 2
         assert stats["requeued"] >= 1
