@@ -30,6 +30,7 @@ from repro import (
     run_mission,
 )
 from repro.core.errors import ConfigError
+from repro.exec import JournalBusyError
 
 
 def _workers(value: str) -> int | str:
@@ -51,17 +52,13 @@ def _add_mission_args(parser: argparse.ArgumentParser) -> None:
                              "(default), or 'auto' (serial on <=2 cores, "
                              "one worker per core otherwise; results are "
                              "identical either way)")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="content-addressed result cache directory "
-                             "(reruns with an unchanged config load from it)")
-    parser.add_argument("--checkpoint", default=None, metavar="DIR",
-                        help="crash-recovery checkpoint journal directory: "
-                             "each completed day is persisted as it finishes")
-    parser.add_argument("--resume", action="store_true",
-                        help="restore completed days from the checkpoint "
-                             "journal and execute only the remainder "
-                             "(requires --checkpoint; bit-identical to an "
-                             "uninterrupted run)")
+    parser.add_argument("--cache", "--checkpoint", dest="cache", default=None,
+                        metavar="DIR",
+                        help="content-addressed store of ground truth and "
+                             "completed days: each day is stored as it "
+                             "finishes, and rerunning the same command "
+                             "resumes from the stored days (bit-identical "
+                             "to an uninterrupted run)")
     parser.add_argument("--quality", default="auto",
                         choices=("auto", "off", "gate", "strict"),
                         help="validating ingest gate: 'auto' (default) gates "
@@ -78,8 +75,7 @@ def _config(args: argparse.Namespace) -> MissionConfig:
 
 
 def _execution(args: argparse.Namespace) -> ExecutionConfig:
-    return ExecutionConfig(n_workers=args.workers, cache_dir=args.cache,
-                           checkpoint_dir=args.checkpoint, resume=args.resume)
+    return ExecutionConfig(n_workers=args.workers, cache_dir=args.cache)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -609,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
     def _add_service_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--service", required=True, metavar="DIR",
                        help="fleet service home directory (holds the durable "
-                            "registry, shared cache, journals, and results)")
+                            "registry, shared day store, and results)")
 
     def _add_serve_args(p: argparse.ArgumentParser) -> None:
         _add_service_arg(p)
@@ -691,6 +687,11 @@ def main(argv: list[str] | None = None) -> int:
         # A bad command-line value: one line, like argparse's own errors.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except JournalBusyError as exc:
+        # Another live run holds the store's lease: retry later
+        # (EX_TEMPFAIL, like a full service queue).
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 75
 
 
 if __name__ == "__main__":

@@ -78,15 +78,11 @@ class ExecutionConfig:
             not applicable (sensing-fault plans, unpicklable overrides).
             ``"auto"`` picks for the machine: serial when
             ``os.cpu_count() <= 2``, else one worker per core.
-        cache_dir: directory of the content-addressed mission cache, or
-            ``None`` for no caching.
-        checkpoint_dir: directory of the crash-recovery checkpoint
-            journal, or ``None`` for no checkpointing.  With a journal,
-            every completed day is persisted as it finishes, so a killed
-            run can be resumed.
-        resume: restore completed days from the checkpoint journal
-            before executing the remainder (requires ``checkpoint_dir``).
-            Resumed runs are bit-identical to uninterrupted ones.
+        cache_dir: directory of the content-addressed mission store
+            (ground truth and completed days), or ``None`` for none.  A
+            run with a store reads the days it already holds and stores
+            each new day as it finishes, so rerunning a killed run
+            resumes it, bit-identical to an uninterrupted one.
         day_deadline_s: supervisor deadline for one day's worth of work
             in a pool worker; a day that runs longer is treated as hung,
             its worker killed, and the day retried.  ``None`` disables
@@ -102,8 +98,6 @@ class ExecutionConfig:
 
     n_workers: int | str = "serial"
     cache_dir: Optional[str] = None
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
     day_deadline_s: Optional[float] = None
     max_day_retries: int = 2
     retry_backoff_s: float = 0.05
@@ -123,10 +117,6 @@ class ExecutionConfig:
             )
         if self.cache_dir is not None and not str(self.cache_dir):
             raise ConfigError("cache_dir must be a non-empty path or None")
-        if self.checkpoint_dir is not None and not str(self.checkpoint_dir):
-            raise ConfigError("checkpoint_dir must be a non-empty path or None")
-        if self.resume and self.checkpoint_dir is None:
-            raise ConfigError("resume=True requires a checkpoint_dir")
         if self.day_deadline_s is not None and self.day_deadline_s <= 0:
             raise ConfigError("day_deadline_s must be positive or None")
         if self.max_day_retries < 0:
@@ -179,11 +169,6 @@ class ExecutionConfig:
     def cache_active(self) -> bool:
         """Whether a cache should actually be consulted."""
         return self.cache_dir is not None
-
-    @property
-    def checkpoint_active(self) -> bool:
-        """Whether a checkpoint journal should be written (and read on resume)."""
-        return self.checkpoint_dir is not None
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ computes — lives here:
 - :mod:`repro.exec.supervisor` — the process-pool fan-out: per-day
   deadlines, seeded-jitter retries, broken-pool recovery with salvage,
   bounded degradation to serial;
-- :mod:`repro.exec.checkpoint` — crash-recovery journal of completed
-  days; ``ExecutionConfig(resume=True)`` restores them bit-identically;
-- :mod:`repro.exec.cache` — content-addressed on-disk cache of ground
-  truth and badge-day summaries;
+- :mod:`repro.exec.cache` — content-addressed on-disk store of ground
+  truth and completed days, the one place a run resumes from;
+- :mod:`repro.exec.checkpoint` — the store's per-fingerprint writer
+  lease, held by every run that stores days;
 - :mod:`repro.exec.integrity` — checksummed atomic artifacts and the
-  quarantine policy shared by the cache and the journal;
+  quarantine policy of the store;
 - :mod:`repro.exec.hashing` — the stable config fingerprints the cache
   keys on.
 
@@ -25,13 +25,11 @@ Callers select execution behaviour with a frozen
 
     result = run_mission(
         MissionConfig(days=14),
-        execution=ExecutionConfig(
-            n_workers=4,
-            cache_dir=".mission-cache",
-            checkpoint_dir=".mission-checkpoint",
-            resume=True,
-        ),
+        execution=ExecutionConfig(n_workers=4, cache_dir=".mission-cache"),
     )
+
+Rerunning the same call after a crash resumes from the days the store
+already holds, bit-identical to an uninterrupted run.
 """
 
 from repro.core.config import ExecutionConfig

@@ -11,7 +11,10 @@ invalidate:
 * ``sensing-<key>/dayNN.pkl`` — one :class:`repro.exec.executor.DayOutcome`
   per instrumented day, keyed by
   :func:`repro.exec.hashing.sensing_fingerprint`.  A warm re-run of an
-  unchanged config loads summaries instead of re-simulating.
+  unchanged config loads summaries instead of re-simulating, and a rerun
+  of a killed mission resumes from the days it finished.  This is the
+  only store of completed days; a run writes them under the
+  fingerprint's writer lease (:class:`repro.exec.checkpoint.CheckpointJournal`).
 
 Keys embed a schema version (see :mod:`repro.exec.hashing`), so
 artifacts written by an older pipeline are simply never matched.  Every
@@ -71,8 +74,11 @@ class MissionCache:
     def truth_path(self, cfg: MissionConfig) -> Path:
         return self.root / f"truth-{hashing.truth_fingerprint(cfg)}.pkl"
 
+    def day_dir(self, cfg: MissionConfig) -> Path:
+        return self.root / f"sensing-{hashing.sensing_fingerprint(cfg)}"
+
     def day_path(self, cfg: MissionConfig, day: int) -> Path:
-        return self.root / f"sensing-{hashing.sensing_fingerprint(cfg)}" / f"day{day:02d}.pkl"
+        return self.day_dir(cfg) / f"day{day:02d}.pkl"
 
     # -- truth artifacts -----------------------------------------------
 

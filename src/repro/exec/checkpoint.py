@@ -1,107 +1,78 @@
-"""Crash-recovery checkpoint journal for mission runs.
+"""The writer lease of the mission day store.
 
-A multi-day mission sweep on Mars-analog infrastructure has no operator
-to restart it: a killed process must not cost the whole run (the ICAres-1
-deployment itself lost days of data to dead batteries and full SD cards).
-The :class:`CheckpointJournal` makes the execution engine crash-safe:
-
-* as each :class:`~repro.exec.executor.DayOutcome` completes — serially,
-  from a pool worker, or salvaged out of a broken pool — it is written as
-  one atomic, checksummed artifact (:mod:`repro.exec.integrity`) under
-  ``<root>/journal-<sensing-key>/dayNN.ckpt``;
-* a resumed run (``ExecutionConfig(resume=True)`` / ``repro run
-  --resume``) restores every journaled day that passes checksum
-  verification and re-executes only the remainder, **bit-identical** to
-  an uninterrupted run (day outcomes are self-contained and the SD-card
-  accountant is rebuilt by replaying outcomes in day order);
-* journals are keyed by the config's sensing fingerprint, so a resume
-  against a changed config simply finds an empty journal — stale
-  checkpoints can never leak into the wrong mission;
-* a corrupt or truncated day record (the crash may have been mid-write,
-  the disk may be failing) is quarantined and recomputed, never served.
-
-The journal is append-only per day and idempotent: re-recording a day a
-previous run already journaled atomically replaces an identical artifact.
+A killed mission run must not cost the whole run: the ICAres-1
+deployment itself lost days of data to dead batteries and full SD cards.
+Completed days live in one durable store, the
+:class:`~repro.exec.cache.MissionCache` (``sensing-<fp>/dayNN.pkl``), and
+a :class:`CheckpointJournal` is its per-fingerprint writer lease.  It
+holds an ``O_EXCL`` marker, ``sensing-<fp>/journal.lock``, so two live
+runs never write one fingerprint's days side by side; the second gets
+:class:`JournalBusyError`.  Under the lease a run reads back the days the
+store has (:meth:`~CheckpointJournal.load_completed`, which is resume:
+bit-identical, since day outcomes are self-contained) and stores each
+new day the moment it lands (:meth:`~CheckpointJournal.record`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import MissionConfig
 from repro.core.errors import DataError
-from repro.exec import hashing, integrity
+from repro.exec import integrity
 from repro.obs import _state as _obs
 from repro.obs import get_logger
 from repro.obs import metrics as _metrics
 
 if TYPE_CHECKING:
+    from repro.exec.cache import MissionCache
     from repro.exec.executor import DayOutcome
 
 log = get_logger("repro.exec.checkpoint")
 
-#: Name of the per-fingerprint exclusive-lease marker inside a journal.
+#: Name of the per-fingerprint writer-lease marker in the day directory.
 LOCK_NAME = "journal.lock"
 
 
 class JournalBusyError(DataError):
-    """Another live process holds this sensing fingerprint's journal.
-
-    Two resumers interleaving writes into one journal would be
-    indistinguishable from corruption after the fact; the second opener
-    gets this clean, catchable error instead.
-    """
+    """Another live process holds this sensing fingerprint's day store."""
 
 
 class CheckpointJournal:
-    """Per-day checkpoint store for one mission config.
+    """Writer lease over one mission config's days in a :class:`MissionCache`.
 
-    All records live under ``<root>/journal-<sensing-fingerprint>/``;
-    two configs never share a journal, and a schema bump (see
-    :mod:`repro.exec.hashing`) orphans old journals instead of
-    resuming from incompatible artifacts.
+    Constructing it takes the lease; :meth:`close` (or leaving the
+    ``with`` block) releases it.
     """
 
-    def __init__(self, root: str | Path, cfg: MissionConfig, *,
-                 exclusive: bool = False, owner: str = ""):
-        self.root = Path(root)
+    # Name and methods stay put: perfbench/hooks.py wraps record/load_completed by name.
+
+    def __init__(self, cache: "MissionCache", cfg: MissionConfig, *,
+                 owner: str = ""):
+        self.cache = cache
         self.cfg = cfg
-        self.dir = self.root / f"journal-{hashing.sensing_fingerprint(cfg)}"
+        self.dir = cache.day_dir(cfg)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.recorded = 0
-        self.quarantined = 0
         #: Days restored by the last :meth:`load_completed` call.
         self.resumed_days: list[int] = []
         self._lock_path = self.dir / LOCK_NAME
         self._locked = False
-        integrity.sweep_stale_tmp(self.root)
-        if exclusive:
-            self.acquire(owner)
+        self._acquire(owner)
 
-    # -- exclusive lease -------------------------------------------------
+    # -- the lease -------------------------------------------------------
     #
-    # Two processes resuming the same sensing fingerprint would interleave
-    # writes into one directory; an ``O_EXCL`` lease marker (pid, process
-    # token and owner recorded inside) makes the journal single-writer.  A
-    # marker whose holder is no longer alive (``integrity.holder_alive``)
-    # is *stale* — the holder was killed without releasing — and may be
-    # broken; the break goes through ``os.rename`` to a unique name so two
-    # concurrent breakers can never each unlink the other's freshly
-    # acquired lock.
+    # The marker records pid, process token and owner.  A marker whose
+    # holder is no longer alive (``integrity.holder_alive``) is *stale* —
+    # the holder was killed without releasing — and is broken through
+    # ``os.rename`` to a unique name, so two concurrent breakers can never
+    # each unlink the other's freshly acquired lock.
 
-    def acquire(self, owner: str = "") -> None:
-        """Take the journal's exclusive lease (idempotent per instance).
-
-        Raises:
-            JournalBusyError: a live process already holds the lease.
-        """
-        if self._locked:
-            return
+    def _acquire(self, owner: str) -> None:
+        """Take the lease; :class:`JournalBusyError` if a live process has it."""
         payload = json.dumps({
             "pid": os.getpid(), "token": integrity.PROCESS_TOKEN,
             "owner": owner or "", "acquired_at": time.time(),
@@ -117,9 +88,9 @@ class CheckpointJournal:
                     self._break_stale_lock()
                     continue
                 raise JournalBusyError(
-                    f"journal {self.dir} is held by "
-                    f"{holder or 'an unreadable lock'}; a second resumer would "
-                    "interleave checkpoint writes"
+                    f"day store {self.dir} is held by "
+                    f"{holder or 'an unreadable lock'}; a second writer would "
+                    "interleave day writes"
                 ) from None
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
@@ -148,7 +119,7 @@ class CheckpointJournal:
             pass
 
     def close(self) -> None:
-        """Release the exclusive lease (no-op if never acquired)."""
+        """Release the lease (idempotent)."""
         if self._locked:
             try:
                 os.unlink(self._lock_path)
@@ -162,51 +133,28 @@ class CheckpointJournal:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def day_path(self, day: int) -> Path:
-        return self.dir / f"day{day:02d}.ckpt"
+    # -- the days --------------------------------------------------------
 
     def record(self, outcome: "DayOutcome") -> None:
-        """Journal one completed day (atomic, checksummed, idempotent).
-
-        Worker telemetry snapshots are transient driver-merge payloads
-        and are stripped before persisting, exactly as the cache does.
-        """
-        if outcome.telemetry is not None:
-            outcome = dataclasses.replace(outcome, telemetry=None)
-        integrity.write_artifact(
-            self.day_path(outcome.day), outcome, schema=hashing.SCHEMA_VERSION
-        )
+        """Store one completed day (atomic, checksummed, idempotent)."""
+        self.cache.store_day(self.cfg, outcome)
         self.recorded += 1
         if _obs.enabled:
             _metrics.counter(
-                "exec.checkpointed_days", "day outcomes journaled for crash recovery"
+                "exec.checkpointed_days", "day outcomes stored for crash recovery"
             ).inc()
 
-    def load_day(self, day: int) -> Optional["DayOutcome"]:
-        """One verified journaled day, or ``None`` (missing or quarantined)."""
-        path = self.day_path(day)
-        try:
-            return integrity.read_artifact(path, schema=hashing.SCHEMA_VERSION)
-        except FileNotFoundError:
-            return None
-        except integrity.ArtifactError as exc:
-            log.warning("checkpoint-rejected", path=str(path), day=day,
-                        error=repr(exc))
-            if integrity.quarantine(path, self.root, store="checkpoint") is not None:
-                self.quarantined += 1
-            return None
-
     def load_completed(self, days: list[int]) -> dict[int, "DayOutcome"]:
-        """Verified outcomes for every journaled day in ``days``.
+        """Verified stored outcomes for every day in ``days`` the store has.
 
         Populates :attr:`resumed_days` and the ``exec.resumed_days``
-        telemetry counter; corrupt records are quarantined (and will be
-        recomputed by the caller), so a resume never trades integrity
-        for speed.
+        telemetry counter; corrupt records are quarantined by the store
+        (and recomputed by the caller), so a resume never trades
+        integrity for speed.
         """
         restored: dict[int, "DayOutcome"] = {}
         for day in days:
-            outcome = self.load_day(day)
+            outcome = self.cache.load_day(self.cfg, day)
             if outcome is not None:
                 restored[day] = outcome
         self.resumed_days = sorted(restored)
@@ -215,24 +163,11 @@ class CheckpointJournal:
                      journal=str(self.dir))
             if _obs.enabled:
                 _metrics.counter(
-                    "exec.resumed_days", "day outcomes restored from a checkpoint journal"
+                    "exec.resumed_days", "day outcomes restored from the day store"
                 ).inc(len(restored))
         return restored
 
-    def journaled_days(self) -> list[int]:
-        """Days with a journal record on disk (unverified)."""
-        days = []
-        for path in self.dir.glob("day*.ckpt"):
-            try:
-                days.append(int(path.stem[3:]))
-            except ValueError:
-                continue
-        return sorted(days)
-
     def stats(self) -> dict:
-        """Plain-data journal counters for ``MissionResult.cache_stats``."""
-        return {
-            "recorded": self.recorded,
-            "resumed_days": list(self.resumed_days),
-            "quarantined": self.quarantined,
-        }
+        """Plain-data counters for ``MissionResult.cache_stats``."""
+        return {"recorded": self.recorded,
+                "resumed_days": list(self.resumed_days)}

@@ -1,10 +1,10 @@
 """End-to-end artifact integrity: checksums, verification, quarantine.
 
-Every on-disk artifact the execution engine produces — cache entries and
-checkpoint-journal records alike — goes through this module.  The paper's
-own deployment lost data to silently failing storage (dead batteries,
-full SD cards); an unattended million-mission sweep cannot afford to
-*trust* bytes it reads back off disk, so artifacts are:
+Every on-disk artifact the execution engine produces — stored truths and
+days alike — goes through this module.  The paper's own deployment lost
+data to silently failing storage (dead batteries, full SD cards); an
+unattended million-mission sweep cannot afford to *trust* bytes it
+reads back off disk, so artifacts are:
 
 * **checksummed** — the pickled payload's BLAKE2b digest is embedded in
   the artifact envelope and verified on every load;

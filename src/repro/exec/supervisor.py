@@ -14,8 +14,8 @@ instruments keep reporting — this wraps the bit-identical per-day work
   injected ``worker-crash`` fault) breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`; the supervisor
   salvages every future that already completed — handing each to the
-  caller's ``on_outcome`` hook so it reaches the checkpoint journal and
-  cache *before* anything else happens — then respawns the pool and
+  caller's ``on_outcome`` hook so it reaches the day store *before*
+  anything else happens — then respawns the pool and
   resubmits only the unfinished days;
 * **seeded-jitter backoff** — respawns back off exponentially with
   jitter drawn from a fixed-seed RNG, so retry storms desynchronize
@@ -174,7 +174,7 @@ def run_days_supervised(
 
     ``on_outcome`` is invoked for every completed day the moment it is
     harvested — including days salvaged out of a broken pool — so the
-    caller can checkpoint/cache it before the supervisor does anything
+    caller can store it before the supervisor does anything
     riskier.  ``crash_days`` / ``hang_days`` inject executor-level
     faults (a worker computing such a day SIGKILLs itself / stalls),
     consumed once per day: after the resulting pool teardown the
@@ -227,7 +227,7 @@ def run_days_supervised(
             except BaseException:
                 _kill_pool(pool)
                 raise
-            # Salvage first: completed days reach the checkpoint/cache
+            # Salvage first: completed days reach the day store
             # before any respawn or give-up can lose them.
             for day in sorted(wave.results):
                 outcome = wave.results[day]

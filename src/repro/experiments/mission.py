@@ -7,11 +7,12 @@ mission stays comfortably in memory.
 
 Execution is delegated to :mod:`repro.exec`: an
 :class:`~repro.core.config.ExecutionConfig` selects serial or supervised
-process-pool execution of the per-day work (bit-identical either way),
-an optional content-addressed cache that persists ground truth and
-badge-day summaries between runs, and an optional crash-recovery
-checkpoint journal (``checkpoint_dir`` / ``resume=True``) that makes a
-killed run resumable without recomputing completed days.  Missions with
+process-pool execution of the per-day work (bit-identical either way)
+and an optional content-addressed store (``cache_dir``) of ground truth
+and completed days.  A run with a store holds the fingerprint's writer
+lease, reads the days the store already has and stores each new day as
+it lands, so rerunning a killed mission resumes it without recomputing
+completed days.  Missions with
 *sensing*-level faults always run serially — SD-card capacity faults
 couple days through the cumulative write budget (see
 :mod:`repro.exec.executor`); bus-level and executor-level faults do not
@@ -22,7 +23,6 @@ never silent.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -131,8 +131,7 @@ class MissionResult:
             f"{len(self.sensing.summaries)} badge-days, "
             f"{self.sdcard.total_gib():.1f} GiB recorded",
         ]
-        if (self.execution.parallel or self.execution.cache_active
-                or self.execution.checkpoint_active):
+        if self.execution.parallel or self.execution.cache_active:
             stats = self.cache_stats or {}
             cache = "off" if "hits" not in stats else (
                 f"{stats['hits']['day']} day hits, "
@@ -145,11 +144,9 @@ class MissionResult:
             if checkpoint is not None:
                 resumed = checkpoint["resumed_days"]
                 lines.append(
-                    f"checkpoint: {checkpoint['recorded']} day(s) journaled, "
+                    f"checkpoint: {checkpoint['recorded']} day(s) stored, "
                     f"{len(resumed)} resumed"
                     + (f" ({', '.join(map(str, resumed))})" if resumed else "")
-                    + (f", {checkpoint['quarantined']} quarantined"
-                       if checkpoint["quarantined"] else "")
                 )
         if self.quality is not None:
             lines.append("")
@@ -183,10 +180,10 @@ def run_mission(
             ``cfg`` on the truth-stage fields).
         localizer: override the localization pipeline (ablations).
         models: override the sensing models (ablations).
-        execution: how to run — worker count, cache, checkpoint journal
+        execution: how to run — worker count, day store
             (:class:`~repro.core.config.ExecutionConfig`; defaults to
-            serial, uncached, unjournaled).  Never affects results, only
-            speed and crash-safety.
+            serial, no store).  Never affects results, only speed and
+            crash-safety.
         quality: ingest-gate mode — ``"auto"`` gates only when the fault
             plan injects data corruption, ``"gate"`` always gates,
             ``"strict"`` gates and raises on any quarantine, ``"off"``
@@ -220,49 +217,26 @@ def run_mission(
             for badge_id, cap in plan.sdcard_caps().items():
                 sdcard.set_capacity(badge_id, cap)
 
-        # Day summaries are cacheable/journalable only for the default
-        # sensing stack: custom models/localizers are not part of the
-        # artifact keys, so persisting their outcomes would poison later
-        # default-stack runs of the same config.
-        day_cache = cache if cache is not None and default_stack else None
-        # The journal lease is exclusive: two processes resuming the same
-        # sensing fingerprint would interleave writes, so the second one
-        # gets a clean JournalBusyError here instead.
+        # Days are stored only for the default sensing stack: custom
+        # models/localizers are not part of the artifact keys, so storing
+        # their outcomes would poison later default-stack runs of the same
+        # config.  A run that stores days holds the fingerprint's writer
+        # lease while it computes, so a second live run gets a clean
+        # JournalBusyError here instead of computing the same days.
         journal = (
-            CheckpointJournal(execution.checkpoint_dir, cfg, exclusive=True,
-                              owner="run_mission")
-            if execution.checkpoint_active and default_stack else None
+            CheckpointJournal(cache, cfg, owner="run_mission")
+            if cache is not None and default_stack else None
         )
-        if execution.checkpoint_active and not default_stack:
-            log.warning("checkpoint-disabled",
-                        reason="custom models/localizer are not part of the journal key")
 
         try:
-            outcomes: dict[int, DayOutcome] = {}
-            if journal is not None and execution.resume:
-                outcomes.update(journal.load_completed(cfg.instrumented_days))
-            if day_cache is not None:
-                for day in cfg.instrumented_days:
-                    if day in outcomes:
-                        continue
-                    hit = day_cache.load_day(cfg, day)
-                    if hit is not None:
-                        outcomes[day] = hit
+            outcomes: dict[int, DayOutcome] = (
+                journal.load_completed(cfg.instrumented_days)
+                if journal is not None else {})
             missing = [d for d in cfg.instrumented_days if d not in outcomes]
-
-            def persist(outcome: DayOutcome) -> None:
-                # Called the moment a day completes — serially, from the
-                # supervisor's harvest, or salvaged out of a broken pool —
-                # so a later crash can resume past it.  Worker telemetry is
-                # transient and never persisted.
-                stored = (
-                    dataclasses.replace(outcome, telemetry=None)
-                    if outcome.telemetry is not None else outcome
-                )
-                if journal is not None:
-                    journal.record(stored)
-                if day_cache is not None:
-                    day_cache.store_day(cfg, stored)
+            # Each day is stored the moment it completes — serially, from
+            # the supervisor's harvest, or salvaged out of a broken pool —
+            # so a later crash can resume past it.
+            persist = journal.record if journal is not None else lambda _: None
 
             _compute_missing_days(
                 cfg, truth, assignment, models, localizer, fleet, rngs, sdcard,
@@ -280,8 +254,8 @@ def run_mission(
                 journal.close()
 
         # Data corruption strikes the assembled dataset — after the
-        # per-day pipeline (so cached/journaled outcomes stay pristine)
-        # and before the quality gate sees it.
+        # per-day pipeline (so stored outcomes stay pristine) and before
+        # the quality gate sees it.
         has_data_faults = plan is not None and bool(plan.data_events())
         if has_data_faults:
             sensing = apply_data_faults(sensing, plan, cfg.seed)
@@ -296,7 +270,6 @@ def run_mission(
     telemetry = obs_export.to_dict() if obs_enabled() else None
     cache_stats = cache.stats() if cache is not None else None
     if journal is not None:
-        cache_stats = dict(cache_stats) if cache_stats is not None else {}
         cache_stats["checkpoint"] = journal.stats()
     return MissionResult(
         cfg=cfg, truth=truth, sensing=sensing, models=models,

@@ -9,7 +9,7 @@ the time-sync simulator corrects.
 
 Corruption is copy-on-write — the struck summaries are replaced with
 corrupted copies and the input dataset is never mutated (its arrays may
-be shared with cached/journaled day outcomes).  Every event's damage is
+be shared with stored day outcomes).  Every event's damage is
 seeded from ``(cfg.seed, event index)``, so the same config + plan
 always corrupts identically, which is what lets a seeded corruption
 campaign reproduce the identical

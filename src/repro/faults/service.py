@@ -4,7 +4,7 @@ The rest of :mod:`repro.faults` injects failures *into the mission* —
 bus partitions, dead batteries, corrupted badge-days.  This module aims
 at the layer above: the fleet service process itself
 (:mod:`repro.service`), whose crash-survival contract (durable registry,
-lease recovery, journal resume) is exactly what the chaos suite must be
+lease recovery, day-store resume) is exactly what the chaos suite must be
 able to violate on demand.
 
 :class:`ServiceChaos` is deterministic by construction — it keys on the

@@ -19,7 +19,7 @@ Layering (each module depends only on those above it):
   running → done|failed|dead`` state machine, lease protocol, and
   dead letters (the jobs in state ``dead``);
 - :mod:`repro.service.worker` — one leased job through the mission
-  engine, resuming from its checkpoint journal;
+  engine, resuming from the shared day store;
 - :mod:`repro.service.service` — :class:`FleetService`, the supervised
   asyncio loop (self-leasing worker slots, heartbeats, recovery, probes);
 - :mod:`repro.service.client` — :class:`FleetClient`, the thin

@@ -2,9 +2,9 @@
 
 One :class:`ServiceConfig` describes a service *home*: a directory
 holding the durable registry database plus the stores every worker
-shares — the content-addressed mission cache, the per-fingerprint
-checkpoint journals, and the result artifacts.  Everything a restart
-needs to recover in-flight work lives under this one root.
+shares — the content-addressed day store (``cache/``, which also holds
+each fingerprint's writer lease) and the result artifacts.  Everything
+a restart needs to recover in-flight work lives under this one root.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class ServiceConfig:
     """How a fleet service runs — never what its missions compute.
 
     Attributes:
-        root: service home directory (registry DB, cache, journals,
+        root: service home directory (registry DB, day store and
             results all live under it; created on demand).
         n_workers: concurrent mission workers (asyncio tasks, each
             running its leased mission in a thread).
@@ -93,10 +93,6 @@ class ServiceConfig:
     @property
     def cache_dir(self) -> Path:
         return self.root_path / "cache"
-
-    @property
-    def journal_dir(self) -> Path:
-        return self.root_path / "journal"
 
     @property
     def results_dir(self) -> Path:

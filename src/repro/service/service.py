@@ -13,12 +13,12 @@
   (dead-lettering past the retry budget), refreshes the health probe,
   exports the ``service.*`` telemetry, and detects a finished drain.
 
-Crash recovery is a property of the registry + journal, not of this
+Crash recovery is a property of the registry + day store, not of this
 loop: on startup the service requeues every lease whose owning process
 died (``kill -9`` leaves them mid-flight), and each re-leased job
-*resumes* from its checkpoint journal.  A stale worker that somehow
-survives cannot double-acknowledge (lease tokens) or interleave
-checkpoint writes (journal lease) — exactly-once execution per
+*resumes* from the days the store already holds.  A stale worker that
+somehow survives cannot double-acknowledge (lease tokens) or interleave
+day writes (the store's writer lease) — exactly-once execution per
 fingerprint holds across restarts.
 """
 
@@ -55,6 +55,8 @@ class FleetService:
         self._backoff = BackoffPolicy(
             base_s=config.retry_backoff_s, seed=config.backoff_seed)
         self._stop = asyncio.Event()
+        #: The loop ``run`` serves on, while it does.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Slot tasks, at most ``n_workers``; each holds one lease.
         self._slots: set[asyncio.Task] = set()
         self.stats = {
@@ -65,15 +67,23 @@ class FleetService:
     # -- lifecycle ---------------------------------------------------------
 
     def request_stop(self) -> None:
-        """Ask the service to shut down gracefully (signal-handler safe)."""
-        self._stop.set()
+        """Ask the service to shut down gracefully.
+
+        Safe from any thread and from a signal handler: an asyncio event
+        may only be set on its own loop.
+        """
+        loop = self._loop
+        if loop is None:
+            self._stop.set()
+        else:
+            loop.call_soon_threadsafe(self._stop.set)
 
     async def run(self, *, drain: bool = False,
                   install_signal_handlers: bool = False) -> dict:
         """Serve until stopped — or, with ``drain=True``, until the
         registry holds no runnable work.  Returns the run's stats."""
         cfg = self.config
-        for path in (cfg.cache_dir, cfg.journal_dir, cfg.results_dir):
+        for path in (cfg.cache_dir, cfg.results_dir):
             path.mkdir(parents=True, exist_ok=True)
         self.registry = MissionRegistry.open(cfg.db_path, create=True)
         self.registry.set_meta(
@@ -90,7 +100,7 @@ class FleetService:
         self.registry.set_probe(owner=self.owner, pid=os.getpid(),
                                 state="ready", now=now)
 
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         if install_signal_handlers:
             for sig in (signal.SIGINT, signal.SIGTERM):
                 try:
@@ -109,6 +119,7 @@ class FleetService:
             self.registry.set_probe(owner=self.owner, pid=os.getpid(),
                                     state=state, now=time.time())
             self.registry.close()
+            self._loop = None
         return dict(self.stats)
 
     # -- supervisor ----------------------------------------------------------
@@ -188,8 +199,7 @@ class FleetService:
         try:
             path, digest = await asyncio.to_thread(
                 worker_mod.execute_job, job,
-                cache_dir=cfg.cache_dir, journal_dir=cfg.journal_dir,
-                results_dir=cfg.results_dir)
+                cache_dir=cfg.cache_dir, results_dir=cfg.results_dir)
         except JournalBusyError as exc:
             self.stats["journal_busy"] += 1
             self._fail(job, f"journal-busy: {exc}")

@@ -1,17 +1,17 @@
 """Job execution: one leased submission through the mission engine.
 
 A worker reconstructs the submitted :class:`MissionConfig`, runs it with
-the service's *shared* content-addressed cache and per-fingerprint
-checkpoint journal, and persists a canonical result artifact.  The
-execution layers compose into the service's exactly-once story:
+the service's *shared* content-addressed day store, and persists a
+canonical result artifact.  The execution layers compose into the
+service's exactly-once story:
 
-* the checkpoint journal makes a re-leased job **resume** — days the
-  killed incarnation completed are restored bit-identically, never
-  recomputed (``repro.exec.checkpoint``);
-* the journal's exclusive lease turns concurrent execution of one
-  fingerprint — a stale worker racing its requeued twin — into a clean
-  :class:`~repro.exec.checkpoint.JournalBusyError`, which the service
-  treats as a retryable collision;
+* the day store makes a re-leased job **resume** — days the killed
+  incarnation completed are restored bit-identically, never recomputed
+  (``repro.exec.cache``);
+* the store's per-fingerprint writer lease turns concurrent execution
+  of one fingerprint — a stale worker racing its requeued twin — into a
+  clean :class:`~repro.exec.checkpoint.JournalBusyError`, which the
+  service treats as a retryable collision;
 * the result artifact is content-addressed by the submission
   fingerprint and checksummed (``repro.exec.integrity``), and its
   digest covers only mission *content* (summaries, pairwise data,
@@ -59,11 +59,11 @@ def result_payload(result, fingerprint: str) -> dict:
     }
 
 
-def execute_job(job: "JobRecord", *, cache_dir: Path, journal_dir: Path,
+def execute_job(job: "JobRecord", *, cache_dir: Path,
                 results_dir: Path) -> tuple[str, str]:
     """Run one leased job to completion; returns ``(path, digest)``.
 
-    Always resumes: with the shared journal, a job re-leased after a
+    Always resumes: with the shared day store, a job re-leased after a
     service ``kill -9`` restores every day its previous incarnation
     already completed, and only computes the remainder.
 
@@ -73,12 +73,7 @@ def execute_job(job: "JobRecord", *, cache_dir: Path, journal_dir: Path,
         ConfigError: the stored submission does not deserialize.
     """
     cfg = config_from_dict(job.config)
-    execution = ExecutionConfig(
-        n_workers="serial",
-        cache_dir=str(cache_dir),
-        checkpoint_dir=str(journal_dir),
-        resume=True,
-    )
+    execution = ExecutionConfig(n_workers="serial", cache_dir=str(cache_dir))
     result = run_mission(cfg, execution=execution, quality=job.quality)
     path = Path(results_dir) / f"{job.fingerprint}.pkl"
     digest = integrity.write_artifact(

@@ -33,12 +33,14 @@ class TestRunMissionCaching:
             "hits": {"truth": 0, "day": 0},
             "misses": {"truth": 1, "day": 1},
             "quarantined": {"truth": 0, "day": 0},
+            "checkpoint": {"recorded": 1, "resumed_days": []},
         }
         warm = run_mission(small_cfg, execution=execution)
         assert warm.cache_stats == {
             "hits": {"truth": 1, "day": 1},
             "misses": {"truth": 0, "day": 0},
             "quarantined": {"truth": 0, "day": 0},
+            "checkpoint": {"recorded": 0, "resumed_days": [2]},
         }
         assert _summaries_bytes(cold) == _summaries_bytes(warm)
         assert cold.sdcard.total_gib() == warm.sdcard.total_gib()

@@ -39,13 +39,26 @@ class TestBadMissionInput:
     @pytest.mark.parametrize("bad", [
         ["--workers", "abc"],
         ["--workers", "0"],
-        ["--resume"],
+        ["--cache", ""],
         ["--days", "1"],
-    ], ids=["workers-abc", "workers-0", "resume-no-checkpoint", "days-1"])
+    ], ids=["workers-abc", "workers-0", "empty-cache", "days-1"])
     def test_one_error_line_exit_2(self, capsys, bad):
         assert main(["run", "--days", "2", *bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and err.count("\n") == 1, err
+
+    def test_busy_store_one_error_line_exit_75(self, capsys, tiny_args, tmp_path):
+        """Another live run holds the store's lease: one line, and the
+        EX_TEMPFAIL exit a full service queue gets too."""
+        from repro.core.config import MissionConfig
+        from repro.exec import CheckpointJournal, MissionCache
+
+        cfg = MissionConfig(days=2, seed=21, events=None)
+        with CheckpointJournal(MissionCache(tmp_path), cfg, owner="rival"):
+            assert main(["run", *tiny_args, "--cache", str(tmp_path)]) == 75
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1, err
+        assert "held by" in err
 
 
 class TestQualityCli:

@@ -3,8 +3,8 @@
 Two acceptance scenarios for the crash-safety subsystem:
 
 * the whole driver process group (driver + pool workers) is SIGKILLed
-  mid-mission; a ``--resume`` run restores the journaled days and
-  completes **bit-identical** to an uninterrupted serial run;
+  mid-mission; rerunning it on the same day store restores the stored
+  days and completes **bit-identical** to an uninterrupted serial run;
 * a single pool worker is SIGKILLed out from under a live in-process
   mission; the supervisor salvages, respawns, and the mission completes
   bit-identically without any resume at all.
@@ -37,7 +37,7 @@ from repro.experiments.mission import run_mission
 
 cfg = MissionConfig(days=4, seed=5, frame_dt=5.0, events=None)
 run_mission(cfg, execution=ExecutionConfig(
-    n_workers=2, checkpoint_dir=sys.argv[1], retry_backoff_s=0.01,
+    n_workers=2, cache_dir=sys.argv[1], retry_backoff_s=0.01,
 ))
 print("MISSION-COMPLETED", flush=True)
 """
@@ -61,15 +61,15 @@ def _driver_env():
 
 def _wait_for_checkpoint(ckpt: Path, proc: subprocess.Popen,
                          timeout_s: float = 180.0) -> list[Path]:
-    """Block until the journal holds at least one day record."""
+    """Block until the day store holds at least one day record."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        found = sorted(ckpt.glob("journal-*/day*.ckpt"))
+        found = sorted(ckpt.glob("sensing-*/day*.pkl"))
         if found:
             return found
         if proc.poll() is not None:
             raise AssertionError(
-                f"driver exited (rc={proc.returncode}) before journaling "
+                f"driver exited (rc={proc.returncode}) before storing "
                 f"anything:\n{proc.stdout.read()}"
             )
         time.sleep(0.01)
@@ -98,16 +98,16 @@ class TestDriverKilledMidMission:
         assert proc.returncode != 0  # killed, not completed
 
         resumed = run_mission(_cfg(), execution=ExecutionConfig(
-            checkpoint_dir=str(ckpt), resume=True,
+            cache_dir=str(ckpt),
         ))
         checkpoint = resumed.cache_stats["checkpoint"]
-        assert checkpoint["resumed_days"], "nothing was restored from the journal"
+        assert checkpoint["resumed_days"], "nothing was restored from the store"
         assert set(checkpoint["resumed_days"]) <= {2, 3, 4}
         assert_bit_identical(baseline, resumed)
 
     def test_cli_resume_after_kill(self, tmp_path):
-        """The operator-facing path: ``repro run --resume`` finishes the
-        mission a SIGKILLed CLI run left behind."""
+        """The operator-facing path: rerunning the same ``repro run``
+        command finishes the mission a SIGKILLed run left behind."""
         ckpt = tmp_path / "ckpt"
         args = [sys.executable, "-m", "repro", "run", "--days", "4",
                 "--seed", "5", "--no-events", "--workers", "2",
@@ -126,7 +126,7 @@ class TestDriverKilledMidMission:
             proc.stdout.close()
 
         done = subprocess.run(
-            args + ["--resume"], env=_driver_env(), cwd=str(REPO),
+            args, env=_driver_env(), cwd=str(REPO),
             capture_output=True, text=True, timeout=600,
         )
         assert done.returncode == 0, done.stdout + done.stderr

@@ -22,7 +22,7 @@ def root(tmp_path):
 
 
 def fake_execute(monkeypatch):
-    def execute(job, *, cache_dir, journal_dir, results_dir):
+    def execute(job, *, cache_dir, results_dir):
         from repro.exec import hashing, integrity
 
         path = results_dir / f"{job.fingerprint}.pkl"

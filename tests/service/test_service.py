@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro import MissionConfig
-from repro.exec.checkpoint import CheckpointJournal
+from repro.exec.cache import MissionCache
+from repro.exec.checkpoint import LOCK_NAME, CheckpointJournal
 from repro.experiments.submission import config_from_dict
 from repro.service import (
     FleetClient,
@@ -36,7 +37,7 @@ def fake_execute(results_dir):
     """A stand-in worker: records executions, returns a fake artifact."""
     calls = []
 
-    def execute(job, *, cache_dir, journal_dir, results_dir):
+    def execute(job, *, cache_dir, results_dir):
         calls.append(job.fingerprint)
         return str(results_dir / f"{job.fingerprint}.pkl"), "digest-" + job.fingerprint[:6]
 
@@ -76,7 +77,7 @@ class TestDrain:
         """A job is leased only by the worker slot that runs it."""
         held = []
 
-        def execute(job, *, cache_dir, journal_dir, results_dir):
+        def execute(job, *, cache_dir, results_dir):
             time.sleep(0.02)
             with FleetClient(root) as client:
                 counts = client.registry.counts()
@@ -144,28 +145,32 @@ class TestDrain:
 
 class TestServeMode:
     def test_request_stop_ends_serve(self, root, monkeypatch):
-        """Without drain, the loop runs until asked to stop."""
+        """Without drain, the loop runs until asked to stop — here from
+        another thread, on a debug-mode loop, which rejects calls that
+        are not thread-safe."""
+        import asyncio
+
         execute, calls = fake_execute(root)
         monkeypatch.setattr(service_mod.worker_mod, "execute_job", execute)
         submit_all(root, [MissionConfig(days=2, seed=1)])
         service = FleetService(config(root))
+        box = {}
 
-        def stop_once_done():
-            deadline = time.monotonic() + 30.0
-            with FleetClient(root) as client:
-                while time.monotonic() < deadline:
-                    if client.overview()["counts"]["done"] == 1:
-                        break
-                    time.sleep(0.02)
-            service.request_stop()
+        def serve_in_debug_mode():
+            box["stats"] = asyncio.run(service.run(drain=False), debug=True)
 
-        stopper = threading.Thread(target=stop_once_done)
-        stopper.start()
-        import asyncio
-
-        stats = asyncio.run(service.run(drain=False))
-        stopper.join()
-        assert stats["completed"] == 1
+        server = threading.Thread(target=serve_in_debug_mode, daemon=True)
+        server.start()
+        deadline = time.monotonic() + 30.0
+        with FleetClient(root) as client:
+            while time.monotonic() < deadline:
+                if client.overview()["counts"]["done"] == 1:
+                    break
+                time.sleep(0.02)
+        service.request_stop()
+        server.join(timeout=30.0)
+        assert not server.is_alive(), "serve ignored request_stop"
+        assert box["stats"]["completed"] == 1
         with FleetClient(root) as client:
             assert client.health()["state"] == "stopped"
 
@@ -191,11 +196,11 @@ class TestServeMode:
                                                            monkeypatch):
         """A restart that got its killed predecessor's pid back (PID 1 in
         a container) recovers the predecessor's lease at start-up and
-        breaks its journal lock, although that pid reads as alive."""
-        def execute(job, *, cache_dir, journal_dir, results_dir):
-            # Takes the journal lease exactly as the real execute_job does.
+        breaks its day-store lock, although that pid reads as alive."""
+        def execute(job, *, cache_dir, results_dir):
+            # Takes the store's lease exactly as the real execute_job does.
             cfg = config_from_dict(job.config)
-            with CheckpointJournal(journal_dir, cfg, exclusive=True):
+            with CheckpointJournal(MissionCache(cache_dir), cfg):
                 return str(results_dir / "r.pkl"), "digest"
 
         monkeypatch.setattr(service_mod.worker_mod, "execute_job", execute)
@@ -206,8 +211,9 @@ class TestServeMode:
             assert client.registry.lease_next(
                 owner=predecessor, pid=os.getpid(), now=time.time(),
                 lease_s=0.2) is not None
-        journal = CheckpointJournal(Path(root) / "journal", cfg)
-        (journal.dir / "journal.lock").write_text(
+        day_dir = MissionCache(Path(root) / "cache").day_dir(cfg)
+        day_dir.mkdir(parents=True)
+        (day_dir / LOCK_NAME).write_text(
             json.dumps({"pid": os.getpid(), "token": "predecessor",
                         "owner": predecessor, "acquired_at": 0.0}))
         stats = serve(config(root, max_attempts=3), drain=True)
@@ -260,3 +266,16 @@ class TestServeMode:
             record = client.status(receipt.job_id)
             assert record.state == "done"
             assert record.completions == 1  # the hung attempt never acked
+
+
+class TestRealJob:
+    def test_each_completed_day_stored_once(self, root):
+        """A real job leaves one artifact per instrumented day, in the day
+        store, and nothing in a second store beside it."""
+        cfg = MissionConfig(days=3, seed=5, frame_dt=5.0, events=None)
+        submit_all(root, [cfg])
+        stats = serve(config(root), drain=True)
+        assert stats["completed"] == 1
+        days = sorted(p.name for p in Path(root).rglob("day*") if p.is_file())
+        assert days == [f"day{d:02d}.pkl" for d in cfg.instrumented_days]
+        assert not (Path(root) / "journal").exists()

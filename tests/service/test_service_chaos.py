@@ -13,7 +13,7 @@ The ISSUE-10 acceptance scenario end to end, with real processes:
   executions, zero dead letters.
 
 Set ``REPRO_SERVICE_CHAOS_DIR`` to persist the service roots (registry
-DB + journals) for post-mortem; the nightly CI job uploads them on
+DB + day store) for post-mortem; the nightly CI job uploads them on
 failure.
 """
 
