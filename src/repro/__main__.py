@@ -31,6 +31,7 @@ from repro import (
 )
 from repro.core.errors import ConfigError
 from repro.exec import JournalBusyError
+from repro.service.errors import QueueFullError, ServiceError
 
 
 def _workers(value: str) -> int | str:
@@ -340,31 +341,6 @@ def cmd_quality(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_errors(fn):
-    """Fold service failures into clean one-line CLI errors.
-
-    An unreachable or locked registry must not dump a traceback:
-    operational errors exit 2 with one line on stderr, and admission
-    rejections exit 75 (EX_TEMPFAIL) so schedulers know to retry.
-    """
-    import functools
-
-    @functools.wraps(fn)
-    def wrapper(args: argparse.Namespace) -> int:
-        from repro.service import QueueFullError, ServiceError
-
-        try:
-            return fn(args)
-        except QueueFullError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 75
-        except ServiceError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-
-    return wrapper
-
-
 def _service_config(args: argparse.Namespace):
     from repro.service import ServiceConfig
 
@@ -401,7 +377,6 @@ def _print_job(record) -> None:
         print(f"  last error: {record.error}")
 
 
-@_service_errors
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import serve
 
@@ -418,7 +393,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-@_service_errors
 def cmd_submit(args: argparse.Namespace) -> int:
     kwargs = {"days": args.days, "seed": args.seed}
     if args.no_events:
@@ -432,7 +406,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-@_service_errors
 def cmd_status(args: argparse.Namespace) -> int:
     with _fleet_client(args) as client:
         if args.ref is not None:
@@ -453,7 +426,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-@_service_errors
 def cmd_result(args: argparse.Namespace) -> int:
     import json
 
@@ -681,17 +653,17 @@ def main(argv: list[str] | None = None) -> int:
     p_res.set_defaults(func=cmd_result)
 
     args = parser.parse_args(argv)
+    # An expected failure is one stderr line, like argparse's own errors,
+    # never a traceback; 75 (EX_TEMPFAIL) tells schedulers to retry.
+    # QueueFullError is a ServiceError, so it is caught first.
     try:
         return args.func(args)
-    except ConfigError as exc:
-        # A bad command-line value: one line, like argparse's own errors.
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    except JournalBusyError as exc:
-        # Another live run holds the store's lease: retry later
-        # (EX_TEMPFAIL, like a full service queue).
+    except (QueueFullError, JournalBusyError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 75
+    except (ServiceError, ConfigError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -139,7 +139,7 @@ def _sense_day(
     rngs: RngRegistry,
     sdcard: SdCardAccountant | None = None,
 ) -> tuple[dict[int, BadgeDayObservations], PairwiseDay]:
-    cfg = truth.cfg
+    cfg = assignment.cfg  # the run's config; the truth's may predate it
     plan = models.plan
     wear_model = WearModel(cfg, plan, battery=models.battery)
     timesync = TimeSyncSimulator(station_xy=wear_model.station_xy)

@@ -75,7 +75,8 @@ class ExecutionConfig:
         n_workers: process-pool size for badge-day work; ``"serial"``
             (or ``1``) runs everything in-process, the historical
             behaviour and the fallback whenever parallel execution is
-            not applicable (sensing-fault plans, unpicklable overrides).
+            not applicable (sensing-fault plans, unpicklable overrides)
+            or its pool breaks or hangs.
             ``"auto"`` picks for the machine: serial when
             ``os.cpu_count() <= 2``, else one worker per core.
         cache_dir: directory of the content-addressed mission store
@@ -85,23 +86,13 @@ class ExecutionConfig:
             resumes it, bit-identical to an uninterrupted one.
         day_deadline_s: supervisor deadline for one day's worth of work
             in a pool worker; a day that runs longer is treated as hung,
-            its worker killed, and the day retried.  ``None`` disables
-            hung-worker detection.
-        max_day_retries: times the supervisor re-runs one day after a
-            timeout or pool breakage before degrading to serial.
-        retry_backoff_s: base of the supervisor's exponential retry
-            backoff (scaled by seeded jitter).
-        pool_failure_limit: consecutive pool failures without progress
-            before the supervisor gives up and the remaining days run
-            serially.
+            the pool is killed, and the days it left run serially.
+            ``None`` disables hung-worker detection.
     """
 
     n_workers: int | str = "serial"
     cache_dir: Optional[str] = None
     day_deadline_s: Optional[float] = None
-    max_day_retries: int = 2
-    retry_backoff_s: float = 0.05
-    pool_failure_limit: int = 3
 
     def __post_init__(self) -> None:
         if isinstance(self.n_workers, str):
@@ -119,12 +110,6 @@ class ExecutionConfig:
             raise ConfigError("cache_dir must be a non-empty path or None")
         if self.day_deadline_s is not None and self.day_deadline_s <= 0:
             raise ConfigError("day_deadline_s must be positive or None")
-        if self.max_day_retries < 0:
-            raise ConfigError("max_day_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ConfigError("retry_backoff_s must be >= 0")
-        if self.pool_failure_limit < 1:
-            raise ConfigError("pool_failure_limit must be >= 1")
 
     #: ``"auto"`` only: pending missions smaller than this many
     #: frame-badge units run serially even on a many-core box — pool

@@ -6,9 +6,10 @@ computes — lives here:
 - :mod:`repro.exec.executor` — per-day work unit (:func:`compute_day` /
   :class:`DayOutcome`) and the pool-worker entry points, bit-identical
   to serial execution;
-- :mod:`repro.exec.supervisor` — the process-pool fan-out: per-day
-  deadlines, seeded-jitter retries, broken-pool recovery with salvage,
-  bounded degradation to serial;
+- :mod:`repro.exec.supervisor` — the process-pool fan-out: one pool
+  per call, per-day deadlines, salvage of every finished day, and a
+  hand-back of the unfinished days to the serial loop when the pool
+  breaks or hangs;
 - :mod:`repro.exec.cache` — content-addressed on-disk store of ground
   truth and completed days, the one place a run resumes from;
 - :mod:`repro.exec.checkpoint` — the store's per-fingerprint writer

@@ -176,8 +176,11 @@ def run_mission(
 
     Args:
         cfg: mission configuration (defaults to the paper's mission).
-        truth: reuse a pre-simulated ground truth (must agree with
-            ``cfg`` on the truth-stage fields).
+        truth: reuse a pre-simulated ground truth.  It must agree with
+            ``cfg`` on the truth-stage fields
+            (:data:`repro.exec.hashing.TRUTH_FIELDS`), else
+            :class:`ConfigError`; sensing always reads ``cfg``, never
+            the config the truth was simulated under.
         localizer: override the localization pipeline (ablations).
         models: override the sensing models (ablations).
         execution: how to run — worker count, day store
@@ -285,6 +288,10 @@ def _resolve_truth(
 ) -> MissionTruth:
     """Supplied truth, cached truth, or a fresh simulation (then cached)."""
     if truth is not None:
+        if not truth_compatible(cfg, truth.cfg):
+            raise ConfigError(
+                "supplied truth disagrees with the mission config on its "
+                "truth-stage fields; simulate it for this config")
         return truth
     if cache is not None:
         cached = cache.load_truth(cfg)
@@ -316,8 +323,8 @@ def _compute_missing_days(
     Chooses the supervised parallel path when the execution config asks
     for it and the mission qualifies (no *sensing* faults — SD-card
     budgets couple days — and a picklable stack); otherwise walks days
-    serially.  A supervisor give-up (too many pool failures, a day past
-    its retry budget) degrades to serial for the *remaining* days only:
+    serially.  When the pool cannot finish (a worker died, a day hung)
+    the supervisor hands back and the *remaining* days run serially:
     everything the pool completed was already harvested and persisted.
     Either way the mission-level ``sdcard`` accountant ends up in the
     exact state a purely serial run would produce.
@@ -326,10 +333,6 @@ def _compute_missing_days(
     # are what couples days; bus- and executor-level faults never touch
     # compute_day, so they keep the parallel path.
     sensing_plan = plan if plan is not None and plan.sensing_events() else None
-    # A supplied truth whose truth-stage fields disagree with cfg would
-    # make workers (which re-derive everything from cfg + truth) and the
-    # cache key inconsistent; such truths only ever take the serial path.
-    exotic_truth = not truth_compatible(cfg, truth.cfg)
     # "auto" weighs the pending work against the pool's spin-up cost:
     # a mission small enough to finish in less time than fork + context
     # pickling runs serially (the small-box 0.92x regression).
@@ -337,14 +340,16 @@ def _compute_missing_days(
     small_auto = execution.auto_serial(pending_units)
 
     if (execution.parallel and missing and not small_auto
-            and sensing_plan is None and not exotic_truth):
+            and sensing_plan is None):
         mission_span = tracing.current_span()
         parent_id = mission_span.span_id if mission_span is not None else None
+        snapshots: dict[int, dict] = {}
 
         def harvest(outcome: DayOutcome) -> None:
+            # Days land in completion order; their worker telemetry is
+            # merged below in day order, and never stored.
             if outcome.telemetry is not None:
-                obs_export.merge_snapshot(outcome.telemetry,
-                                          parent_span_id=parent_id)
+                snapshots[outcome.day] = outcome.telemetry
                 outcome.telemetry = None
             persist(outcome)
             outcomes[outcome.day] = outcome
@@ -361,26 +366,18 @@ def _compute_missing_days(
             _signal_fallback("executor-unavailable", detail=str(exc),
                             workers=execution.worker_count,
                             salvaged=len([d for d in missing if d in outcomes]))
-        else:
-            # Rebuild the mission-level accountant exactly as a serial
-            # run would: every day replayed in order.
-            for day in cfg.instrumented_days:
-                replay_accounting(outcomes[day], sdcard)
-            return
+        for day in sorted(snapshots):
+            obs_export.merge_snapshot(snapshots[day], parent_span_id=parent_id)
     elif execution.parallel and missing:
-        if small_auto:
-            reason = "auto-small-mission"
-        elif sensing_plan is not None:
-            reason = "sensing-fault-plan"
-        else:
-            reason = "exotic-truth"
+        reason = "auto-small-mission" if small_auto else "sensing-fault-plan"
         _signal_fallback(
             reason, workers=execution.worker_count, units=pending_units,
         )
 
-    # Serial path: restored/cached/salvaged days replay their accounting
-    # in day order so a later (possibly faulted) day sees the exact
-    # cumulative totals.
+    # Serial path: restored/cached/pool-computed days replay their
+    # accounting in day order so a later (possibly faulted) day sees the
+    # exact cumulative totals; a pool that finished leaves nothing to
+    # compute.
     for day in cfg.instrumented_days:
         if day in outcomes:
             replay_accounting(outcomes[day], sdcard)

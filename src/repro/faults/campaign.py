@@ -57,9 +57,10 @@ class FaultCampaign:
     #: Capacity override applied by an SD-card exhaustion, bytes.
     sdcard_cap_bytes: float = 4e9
     #: Whole-mission count of executor-level worker crashes (the pool
-    #: worker computing the struck day is SIGKILLed; the supervisor must
-    #: recover).  Drawn after every other fault class, so campaigns with
-    #: ``worker_crashes=0`` reproduce their historical plans exactly.
+    #: worker computing the struck day is SIGKILLed; the mission must
+    #: still finish, serially).  Drawn after every other fault class, so
+    #: campaigns with ``worker_crashes=0`` reproduce their historical
+    #: plans exactly.
     worker_crashes: int = 0
     #: Whole-mission counts of data-corruption faults striking assembled
     #: badge-days (exercising the ``repro.quality`` ingest gate).  Drawn

@@ -189,8 +189,8 @@ class FaultPlan:
     def worker_crash_days(self) -> frozenset[int]:
         """Mission days whose pool worker an injected crash should kill.
 
-        Each event is consumed by the supervisor once: the first worker
-        to pick up that day dies, the retry computes it normally.
+        The worker that picks up such a day dies and breaks the pool;
+        the mission driver then computes the days left serially.
         """
         return frozenset(
             int(e.time_s // DAY) + 1

@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.core.errors import ConfigError
 
-#: Jitter multiplier range; matches the supervisor's retry jitter so
-#: requeue storms desynchronize without ever collapsing a delay to zero.
+#: Jitter multiplier range: requeue storms desynchronize without ever
+#: collapsing a delay to zero.
 JITTER_LOW, JITTER_HIGH = 0.5, 1.5
 
 

@@ -162,6 +162,25 @@ class TestRedesignedApi:
         result = run_mission(cfg, truth=serial_result.truth)
         assert_bit_identical(serial_result, result)
 
+    def test_supplied_truth_is_sensed_under_the_run_config(self, cfg,
+                                                           serial_result):
+        """Wear compliance is a sensing field: a truth simulated under
+        another compliance serves this run, sensed with this run's."""
+        low_wear = dataclasses.replace(cfg, wear_compliance_start=0.3,
+                                       wear_compliance_end=0.3)
+        assert_bit_identical(run_mission(low_wear),
+                             run_mission(low_wear, truth=serial_result.truth))
+
+    def test_incompatible_truth_is_refused(self, cfg, serial_result,
+                                           tmp_path):
+        """A truth simulated for another seed is not this mission's, and
+        none of its days may reach the store under this config."""
+        other_seed = dataclasses.replace(cfg, seed=cfg.seed + 1)
+        with pytest.raises(ConfigError, match="truth"):
+            run_mission(other_seed, truth=serial_result.truth,
+                        execution=ExecutionConfig(cache_dir=str(tmp_path)))
+        assert not list(tmp_path.rglob("day*.pkl"))
+
     def test_result_to_dict_is_json_clean(self, serial_result):
         import json
 

@@ -1,12 +1,14 @@
-"""Worker supervision: crash recovery, deadlines, bounded degradation.
+"""Worker supervision: crash salvage, deadlines, hand-back to serial.
 
 These tests inject real executor-level faults — workers that SIGKILL
-themselves or stall — and assert the supervisor's contract: no completed
-work is ever lost, results stay bit-identical to serial, and every
-give-up degrades to serial instead of aborting the mission.
+themselves or stall — and assert the supervisor's contract: one pool per
+call, no completed work is ever lost, a broken or hung pool hands its
+unfinished days back, and the mission driver finishes them serially,
+bit-identical to a serial run.
 """
 
 import dataclasses
+import time
 
 import pytest
 
@@ -24,7 +26,10 @@ from repro.localization.pipeline import Localizer
 
 from tests.exec.test_executor import assert_bit_identical
 
-FAST = ExecutionConfig(n_workers=2, retry_backoff_s=0.01)
+FAST = ExecutionConfig(n_workers=2)
+#: Clears real per-day compute (~1 s at frame_dt=5) plus worker start-up,
+#: far below the injected 60 s hang.
+DEADLINE = dataclasses.replace(FAST, day_deadline_s=4.0)
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +82,29 @@ class TestHappyPath:
 
 
 class TestCrashRecovery:
-    def test_worker_crash_salvages_and_retries(self, cfg, stack):
+    def test_worker_crash_salvages_and_hands_back(self, cfg, stack,
+                                                  monkeypatch):
+        import repro.exec.supervisor as sup
+
+        spawns = []
+        original = sup._spawn_pool
+
+        def counted(*args):
+            spawns.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(sup, "_spawn_pool", counted)
         harvested = []
-        outcomes = _supervise(
-            cfg, stack, [2, 3],
-            on_outcome=lambda o: harvested.append(o.day),
-            crash_days=frozenset({3}),
-        )
-        # Both days complete: day 3's injected crash broke the pool,
-        # day 2 was salvaged, and the retry computed day 3 for real.
-        assert sorted(outcomes) == [2, 3]
-        assert sorted(harvested) == [2, 3]
+        # Day 3's injected crash breaks the one pool; the error names the
+        # days left for the caller's serial loop, and only a day that
+        # finished first can have been handed over.
+        with pytest.raises(ExecutorUnavailable,
+                           match=r"broke .*day\(s\) \[(2, )?3\] left"):
+            _supervise(cfg, stack, [2, 3],
+                       on_outcome=lambda o: harvested.append(o.day),
+                       crash_days=frozenset({3}))
+        assert len(spawns) == 1
+        assert set(harvested) <= {2}
 
     def test_crash_run_is_bit_identical(self, cfg, serial_result):
         plan = FaultPlan.build(
@@ -119,40 +136,47 @@ class TestCrashRecovery:
             run_mission(dataclasses.replace(cfg, fault_plan=plan),
                         execution=FAST)
             snap = obs.metrics.registry.snapshot()
-            assert snap["exec.pool_respawns"]["series"][0]["value"] >= 1
-            retry_series = snap["exec.retries"]["series"]
-            assert any(s["labels"]["reason"] == "pool-broken" and s["value"] >= 1
-                       for s in retry_series)
+            assert [(s["labels"]["reason"], s["value"])
+                    for s in snap["exec.fallback"]["series"]] == [
+                ("executor-unavailable", 1)
+            ]
         finally:
             obs.reset()
 
 
 class TestDeadlines:
-    def test_hung_worker_is_killed_and_retried(self, cfg, stack):
-        # Deadline must clear real per-day compute (~1s) plus worker
-        # startup, while staying far below the injected 60s hang.
-        execution = dataclasses.replace(FAST, day_deadline_s=8.0)
-        outcomes = _supervise(cfg, stack, [2, 3], execution,
-                              hang_days=frozenset({2}), hang_s=60.0)
-        # Injection spent after the first teardown; retry completes.
-        assert sorted(outcomes) == [2, 3]
-
-    def test_deadline_budget_exhaustion_raises(self, cfg, stack, monkeypatch):
-        # Make the *computation itself* hang every attempt by injecting
-        # the hang repeatedly: never spend the injection.
-        import repro.exec.supervisor as sup
-
-        execution = dataclasses.replace(FAST, day_deadline_s=0.2,
-                                        max_day_retries=1)
-        original = sup._spawn_pool
-
-        def always_hanging(workers, payload, crash_days, hang_days, hang_s):
-            return original(workers, payload, crash_days,
-                            frozenset({2}), 30.0)
-
-        monkeypatch.setattr(sup, "_spawn_pool", always_hanging)
+    def test_hung_worker_is_killed_and_handed_back(self, cfg, stack):
+        harvested = []
+        t0 = time.monotonic()
         with pytest.raises(ExecutorUnavailable, match="deadline"):
-            _supervise(cfg, stack, [2], execution)
+            _supervise(cfg, stack, [2, 3], DEADLINE,
+                       on_outcome=lambda o: harvested.append(o.day),
+                       hang_days=frozenset({2}), hang_s=60.0)
+        # The hung worker was SIGKILLed, not waited out.
+        assert time.monotonic() - t0 < 30.0
+        assert set(harvested) <= {3}
+
+    def test_hung_mission_is_bit_identical(self, cfg, serial_result,
+                                           monkeypatch):
+        """A mission whose pool hangs on day 2 finishes that day (and
+        any other left) serially, exactly as a serial run would."""
+        import repro.experiments.mission as mission_mod
+
+        real = mission_mod.run_days_supervised
+        handed_back = []
+
+        def hanging(*args, **kwargs):
+            try:
+                return real(*args, hang_days=frozenset({2}), hang_s=60.0,
+                            **kwargs)
+            except ExecutorUnavailable as exc:
+                handed_back.append(str(exc))
+                raise
+
+        monkeypatch.setattr(mission_mod, "run_days_supervised", hanging)
+        result = run_mission(cfg, execution=DEADLINE)
+        assert len(handed_back) == 1 and "deadline" in handed_back[0]
+        assert_bit_identical(serial_result, result)
 
     def test_timeout_counter_increments(self, cfg, stack):
         from repro import obs
@@ -160,33 +184,42 @@ class TestDeadlines:
         obs.reset()
         obs.enable()
         try:
-            execution = dataclasses.replace(FAST, day_deadline_s=8.0)
-            _supervise(cfg, stack, [2, 3], execution,
-                       hang_days=frozenset({3}), hang_s=60.0)
+            with pytest.raises(ExecutorUnavailable, match="deadline"):
+                _supervise(cfg, stack, [2, 3], DEADLINE,
+                           hang_days=frozenset({3}), hang_s=60.0)
             snap = obs.metrics.registry.snapshot()
             assert snap["exec.timeouts"]["series"][0]["value"] >= 1
         finally:
             obs.reset()
 
 
-class TestBoundedDegradation:
-    def test_pool_failure_limit_raises(self, cfg, stack, monkeypatch):
-        """Consecutive no-progress pool failures give up, not loop."""
+class TestKillPool:
+    def test_half_sent_result_does_not_hang_the_pool(self):
+        """A worker killed while sending its result leaves half a message
+        in the result pipe; killing the pool must still end the pool's
+        manager thread, which the interpreter joins at exit."""
+        import concurrent.futures as cf
+        import os
+        import struct
+
         import repro.exec.supervisor as sup
 
-        original = sup._spawn_pool
-        spawns = []
+        pool = cf.ProcessPoolExecutor(max_workers=1)
+        pool.submit(int).result()  # worker and manager thread are up
+        manager = pool._executor_manager_thread
+        fd = pool._result_queue._writer.fileno()
+        # A frame header promising 1000 bytes, and one byte of them.
+        os.write(fd, struct.pack("!i", 1000) + b"x")
+        sup._kill_pool(pool)
+        manager.join(timeout=10.0)
+        stuck = manager.is_alive()
+        if stuck:  # finish the frame so the thread ends with the test
+            os.write(fd, b"x" * 999)
+            manager.join(timeout=10.0)
+        assert not stuck
 
-        def always_crashing(workers, payload, crash_days, hang_days, hang_s):
-            spawns.append(workers)
-            return original(workers, payload, frozenset({2}), hang_days, hang_s)
 
-        monkeypatch.setattr(sup, "_spawn_pool", always_crashing)
-        execution = dataclasses.replace(FAST, pool_failure_limit=2)
-        with pytest.raises(ExecutorUnavailable, match="consecutive"):
-            _supervise(cfg, stack, [2], execution)
-        assert len(spawns) == 2
-
+class TestBoundedDegradation:
     def test_mission_degrades_to_serial_and_matches(self, cfg, serial_result,
                                                     monkeypatch):
         """A supervisor give-up finishes the mission serially, keeping

@@ -88,7 +88,8 @@ class TestUnreachableRegistry:
         capsys.readouterr()
         assert main(["status", "--service", root, "zzzz"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro: no job 'zzzz'")
+        assert err.startswith("repro: error: no job 'zzzz'")
+        assert err.count("\n") == 1
 
     def test_locked_registry_exits_2(self, root, monkeypatch, capsys):
         assert main(SUBMIT + ["--service", root]) == 0

@@ -174,6 +174,48 @@ class TestServeMode:
         with FleetClient(root) as client:
             assert client.health()["state"] == "stopped"
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a job past job_timeout_s keeps its thread, and so its slot, "
+               "until the thread returns; only a killable worker process "
+               "frees it")
+    def test_hung_job_frees_its_slot(self, root, monkeypatch):
+        """A job whose execution never returns by itself must not hold
+        the service's only slot: its requeued twin completes in time."""
+        import asyncio
+
+        release = threading.Event()
+        calls = {"n": 0}
+
+        def hang_first(job, *, results_dir, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                release.wait()
+            return str(results_dir / "r.pkl"), "digest"
+
+        monkeypatch.setattr(service_mod.worker_mod, "execute_job", hang_first)
+        (receipt,) = submit_all(root, [MissionConfig(days=2, seed=1)])
+        service = FleetService(config(root, n_workers=1, lease_s=0.3,
+                                      job_timeout_s=0.2, max_attempts=3))
+        server = threading.Thread(
+            target=lambda: asyncio.run(service.run(drain=False)), daemon=True)
+        server.start()
+        state = None
+        try:
+            deadline = time.monotonic() + 5.0
+            with FleetClient(root) as client:
+                while time.monotonic() < deadline:
+                    state = client.status(receipt.job_id).state
+                    if state == "done":
+                        break
+                    time.sleep(0.05)
+        finally:
+            release.set()
+            service.request_stop()
+            server.join(timeout=30.0)
+        assert not server.is_alive(), "serve outlived the test"
+        assert state == "done", f"job still {state} after 5 s"
+
     def test_startup_recovers_dead_owner_leases(self, root, monkeypatch):
         """Registry rows leased by a dead pid are requeued and completed."""
         execute, calls = fake_execute(root)
