@@ -29,7 +29,7 @@ from repro import (
     build_table1,
     run_mission,
 )
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, DataError
 from repro.exec import JournalBusyError
 from repro.service.errors import QueueFullError, ServiceError
 
@@ -350,7 +350,6 @@ def _service_config(args: argparse.Namespace):
         queue_depth=args.queue_depth,
         lease_s=args.lease_s,
         max_attempts=args.max_attempts,
-        backoff_seed=args.backoff_seed,
         job_timeout_s=args.job_timeout_s,
     )
 
@@ -593,8 +592,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--max-attempts", type=int, default=3,
                        help="retry budget before a job is dead-lettered "
                             "(default: 3)")
-        p.add_argument("--backoff-seed", type=int, default=0,
-                       help="seed of the jittered retry backoff (default: 0)")
         p.add_argument("--job-timeout-s", type=float, default=None,
                        help="per-attempt deadline: past it the worker stops "
                             "renewing its lease so the job is reclaimed")
@@ -655,13 +652,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # An expected failure is one stderr line, like argparse's own errors,
     # never a traceback; 75 (EX_TEMPFAIL) tells schedulers to retry.
-    # QueueFullError is a ServiceError, so it is caught first.
+    # QueueFullError is a ServiceError and JournalBusyError a DataError,
+    # so both are caught first.
     try:
         return args.func(args)
     except (QueueFullError, JournalBusyError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 75
-    except (ServiceError, ConfigError) as exc:
+    except (ServiceError, ConfigError, DataError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

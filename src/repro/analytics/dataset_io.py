@@ -2,34 +2,33 @@
 
 A full mission simulation takes minutes; the analyses take seconds.
 ``save_sensing``/``load_sensing`` round-trip a :class:`MissionSensing`
-through a :class:`~repro.core.storage.DataStore` directory so the
-expensive step can be cached between analysis sessions (the real
+so the expensive step can be cached between analysis sessions (the real
 deployment's equivalent was pulling the SD cards once).
 
-Saved datasets ride inside the :mod:`repro.exec.integrity` artifact
-envelope: the write is atomic, the payload is checksum-verified on
-every load, and a store that fails verification is quarantined next to
-itself — never silently served.  Directories written by older versions
-(plain ``.npz`` files + ``meta.json``) still load.  On load the data is
-additionally routed through the :mod:`repro.quality` ingest gate unless
-the caller opts out.
+A saved dataset is one :mod:`repro.exec.integrity` artifact, the
+envelope every stored truth, day and service result uses: the run's
+:class:`~repro.core.config.MissionConfig` (fault plan included), its
+badge-day summaries and its pairwise data, pickled whole.  The write is
+atomic, the payload is checksum-verified on every load, and an artifact
+that fails verification is quarantined next to itself — never silently
+served.  A dataset saved in an older format (a schema-1 artifact or a
+directory of ``.npz`` files) is refused and left where it is: it caches
+a deterministic simulation, and ``repro save`` re-creates it.  On load
+the data is additionally routed through the :mod:`repro.quality` ingest
+gate unless the caller opts out.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from repro.analytics.dataset import BadgeDaySummary, MissionSensing
+from repro.analytics.dataset import MissionSensing
 from repro.badges.assignment import BadgeAssignment
-from repro.badges.pipeline import PairwiseDay
-from repro.core.config import MissionConfig, ScriptedEventsConfig
 from repro.core.errors import ConfigError, DataError
-from repro.core.storage import DataStore
 from repro.crew.roster import icares_roster
 from repro.exec.integrity import (
     ArtifactError,
+    ArtifactSchemaMismatch,
     quarantine,
     read_artifact,
     write_artifact,
@@ -39,107 +38,30 @@ from repro.quality.gate import gate_sensing
 
 #: Single-file artifact a saved dataset lives in (integrity envelope).
 ARTIFACT_NAME = "sensing.artifact"
-#: Envelope schema version for saved sensing datasets.
-SENSING_SCHEMA = 1
-
-_SUMMARY_ARRAYS = (
-    "active", "worn", "room", "x", "y", "accel_rms", "voice_db",
-    "dominant_pitch_hz", "pitch_stability", "sound_db",
-)
-
-
-def sensing_to_store(sensing: MissionSensing) -> DataStore:
-    """Serialize a sensing dataset into a :class:`DataStore`."""
-    store = DataStore()
-    cfg = sensing.cfg
-    events = cfg.events
-    store.put_meta(("cfg",), {
-        "seed": cfg.seed, "days": cfg.days, "badges_from_day": cfg.badges_from_day,
-        "daytime_start": cfg.daytime_start, "daytime_hours": cfg.daytime_hours,
-        "frame_dt": cfg.frame_dt, "n_beacons": cfg.n_beacons,
-        "crew_size": cfg.crew_size,
-        "wear_compliance_start": cfg.wear_compliance_start,
-        "wear_compliance_end": cfg.wear_compliance_end,
-        "earth_link_delay_s": cfg.earth_link_delay_s,
-        "events": None if events is None else {
-            "death_day": events.death_day, "death_time": events.death_time,
-            "consolation_time": events.consolation_time,
-            "consolation_duration_s": events.consolation_duration_s,
-            "famine_day": events.famine_day, "reprimand_day": events.reprimand_day,
-            "badge_swap_day": events.badge_swap_day,
-            "badge_reuse_day": events.badge_reuse_day,
-        },
-    })
-    for (badge_id, day), summary in sensing.summaries.items():
-        arrays = {name: getattr(summary, name) for name in _SUMMARY_ARRAYS}
-        if summary.true_room is not None:
-            arrays["true_room"] = summary.true_room
-        store.put_arrays(("summary", str(badge_id), str(day)), **arrays)
-        store.put_meta(("summary", str(badge_id), str(day)), {
-            "t0": summary.t0, "dt": summary.dt,
-            "bytes_recorded": summary.bytes_recorded,
-            "n_sync_events": summary.n_sync_events,
-        })
-    for day, pairwise in sensing.pairwise.items():
-        for (i, j), contact in pairwise.ir_contact.items():
-            store.put_arrays(
-                ("ir", str(day), str(i), str(j)),
-                contact=contact, rssi=pairwise.subghz_rssi[(i, j)],
-            )
-    return store
-
-
-def store_to_sensing(store: DataStore) -> MissionSensing:
-    """Rebuild a sensing dataset from a :class:`DataStore`."""
-    raw = dict(store.get_meta(("cfg",)))
-    events_raw = raw.pop("events")
-    events = None if events_raw is None else ScriptedEventsConfig(**events_raw)
-    cfg = MissionConfig(events=events, **raw)
-    plan = lunares_floorplan()
-    assignment = BadgeAssignment(cfg=cfg, roster=icares_roster(cfg.crew_size))
-    sensing = MissionSensing(cfg=cfg, plan=plan, assignment=assignment)
-
-    for key in store.keys(("summary",)):
-        __, badge_id, day = key
-        arrays = store.get_arrays(key)
-        meta = store.get_meta(key)
-        sensing.summaries[(int(badge_id), int(day))] = BadgeDaySummary(
-            badge_id=int(badge_id), day=int(day),
-            t0=meta["t0"], dt=meta["dt"],
-            true_room=arrays.get("true_room"),
-            bytes_recorded=meta["bytes_recorded"],
-            n_sync_events=meta["n_sync_events"],
-            **{name: arrays[name] for name in _SUMMARY_ARRAYS},
-        )
-    for key in store.keys(("ir",)):
-        __, day, i, j = key
-        arrays = store.get_arrays(key)
-        pairwise = sensing.pairwise.setdefault(int(day), PairwiseDay(day=int(day)))
-        pairwise.ir_contact[(int(i), int(j))] = arrays["contact"].astype(bool)
-        pairwise.subghz_rssi[(int(i), int(j))] = arrays["rssi"].astype(np.float32)
-    return sensing
+#: Envelope schema version for saved sensing datasets.  Schema 2 pickles
+#: ``{"cfg", "summaries", "pairwise"}``; schema 1 held a key/array store.
+SENSING_SCHEMA = 2
 
 
 def save_sensing(sensing: MissionSensing, path: str | Path) -> None:
     """Write a sensing dataset to a directory.
 
-    The store is persisted as a single checksummed artifact
+    The dataset is persisted as a single checksummed artifact
     (atomic temp-file + rename write; verified byte-for-byte on load).
     """
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    payload = sensing_to_store(sensing).to_payload()
-    write_artifact(root / ARTIFACT_NAME, payload, SENSING_SCHEMA)
+    payload = {"cfg": sensing.cfg, "summaries": sensing.summaries,
+               "pairwise": sensing.pairwise}
+    write_artifact(Path(path) / ARTIFACT_NAME, payload, SENSING_SCHEMA)
 
 
 def load_sensing(path: str | Path, quality: str = "gate") -> MissionSensing:
     """Read a sensing dataset previously written by :func:`save_sensing`.
 
-    The artifact's checksum is verified before anything is unpickled; a
-    store that fails verification is moved to a ``quarantine/`` sibling
-    and a :class:`~repro.core.errors.DataError` raised — corrupt bytes
-    are never served.  Directories from older versions (``.npz`` files
-    + ``meta.json``) load through the legacy path.
+    The artifact's checksum is verified before anything is unpickled; an
+    artifact that fails verification is moved to a ``quarantine/``
+    sibling and a :class:`~repro.core.errors.DataError` raised — corrupt
+    bytes are never served.  A missing dataset, or one saved in an older
+    format, raises a ``DataError`` and leaves the directory untouched.
 
     Args:
         path: directory written by :func:`save_sensing`.
@@ -155,20 +77,33 @@ def load_sensing(path: str | Path, quality: str = "gate") -> MissionSensing:
             f"quality must be one of off/gate/strict, got {quality!r}")
     root = Path(path)
     artifact = root / ARTIFACT_NAME
-    if artifact.exists():
-        try:
-            payload = read_artifact(artifact, SENSING_SCHEMA)
-        except ArtifactError as exc:
-            quarantine(artifact, root, store="sensing")
-            raise DataError(
-                f"saved dataset at {root} failed integrity verification "
-                f"({exc}); the store was quarantined"
-            ) from exc
-        store = DataStore.from_payload(payload)
-    else:  # legacy directory layout (pre-envelope)
-        store = DataStore.load_dir(path)
-    sensing = store_to_sensing(store)
+    try:
+        payload = read_artifact(artifact, SENSING_SCHEMA)
+    except (FileNotFoundError, NotADirectoryError):
+        if not any(root.glob("*.npz")):
+            raise DataError(f"no saved dataset at {root}") from None
+        raise _older_format(root) from None
+    except ArtifactSchemaMismatch as exc:
+        raise _older_format(root) from exc
+    except ArtifactError as exc:
+        quarantine(artifact, root, store="sensing")
+        raise DataError(
+            f"saved dataset at {root} failed integrity verification "
+            f"({exc}); the store was quarantined"
+        ) from exc
+    cfg = payload["cfg"]
+    sensing = MissionSensing(
+        cfg=cfg, plan=lunares_floorplan(),
+        assignment=BadgeAssignment(cfg=cfg, roster=icares_roster(cfg.crew_size)),
+        summaries=payload["summaries"], pairwise=payload["pairwise"],
+    )
     if quality == "off":
         return sensing
     gated, _report = gate_sensing(sensing, strict=(quality == "strict"))
     return gated
+
+
+def _older_format(root: Path) -> DataError:
+    return DataError(
+        f"saved dataset at {root} predates dataset schema {SENSING_SCHEMA}; "
+        f"run `repro save` again to re-create it")

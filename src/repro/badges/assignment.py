@@ -34,11 +34,6 @@ class BadgeAssignment:
     roster: Roster
 
     @property
-    def primary_ids(self) -> tuple[int, ...]:
-        """Primary badge ids, in roster order."""
-        return tuple(range(self.roster.size))
-
-    @property
     def reference_id(self) -> int:
         """Id of the reference badge (primaries + backups precede it)."""
         return 2 * self.roster.size

@@ -4,7 +4,7 @@ This subpackage is paper-agnostic infrastructure: a discrete-event
 simulation engine, simulated clocks (including Martian time, which the
 ICAres-1 crew lived on), deterministic named random-number streams,
 interval/time-series containers used throughout the sensing pipeline,
-configuration dataclasses, and dataset storage.
+and configuration dataclasses.
 """
 
 from repro.core.clock import EARTH_DAY_S, MARS_SOL_S, ClockModel, MartianClock, MissionClock
@@ -13,7 +13,6 @@ from repro.core.engine import Event, Simulator
 from repro.core.errors import ConfigError, ReproError, SimulationError
 from repro.core.intervals import IntervalSet
 from repro.core.rng import RngRegistry, stable_hash
-from repro.core.storage import DataStore
 from repro.core.timeseries import TimeSeries
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "MARS_SOL_S",
     "ClockModel",
     "ConfigError",
-    "DataStore",
     "Event",
     "IntervalSet",
     "MartianClock",

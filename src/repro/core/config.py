@@ -86,7 +86,10 @@ class ExecutionConfig:
             resumes it, bit-identical to an uninterrupted one.
         day_deadline_s: supervisor deadline for one day's worth of work
             in a pool worker; a day that runs longer is treated as hung,
-            the pool is killed, and the days it left run serially.
+            the pool is killed, and the days it left run serially.  A
+            day's clock starts when it is handed to a free worker, so
+            queueing never counts, but the first wave's clock includes
+            worker start-up (unpickling the mission context).
             ``None`` disables hung-worker detection.
     """
 

@@ -60,6 +60,14 @@ class ArtifactUnreadable(ArtifactError):
     """The artifact's envelope could not be parsed (foreign/truncated)."""
 
 
+class ArtifactSchemaMismatch(ArtifactUnreadable):
+    """The envelope is this module's, written under another schema.
+
+    The bytes are intact; only the reader no longer understands them,
+    so a caller may refuse the file without quarantining it.
+    """
+
+
 def checksum(payload_bytes: bytes) -> str:
     """Hex BLAKE2b digest of a payload's serialized bytes."""
     return hashlib.blake2b(payload_bytes, digest_size=16).hexdigest()
@@ -102,8 +110,9 @@ def read_artifact(path: str | Path, schema: int) -> Any:
 
     Raises:
         FileNotFoundError: no artifact at ``path``.
-        ArtifactUnreadable: envelope unparsable or from a different
-            schema/magic (foreign or pre-checksum file).
+        ArtifactUnreadable: envelope unparsable or of a foreign magic
+            (foreign or pre-checksum file).
+        ArtifactSchemaMismatch: an intact envelope of another schema.
         ArtifactCorrupt: checksum mismatch — the payload bytes changed
             since the artifact was written.
     """
@@ -122,10 +131,13 @@ def read_artifact(path: str | Path, schema: int) -> Any:
         raise ArtifactUnreadable(
             f"artifact {path} has an unexpected envelope shape"
         ) from exc
-    if magic != MAGIC or found_schema != schema:
+    if magic != MAGIC:
         raise ArtifactUnreadable(
             f"artifact {path} has foreign header ({magic!r}, {found_schema!r})"
         )
+    if found_schema != schema:
+        raise ArtifactSchemaMismatch(
+            f"artifact {path} has schema {found_schema!r}, not {schema!r}")
     if checksum(payload_bytes) != digest:
         raise ArtifactCorrupt(f"artifact {path} failed checksum verification")
     try:

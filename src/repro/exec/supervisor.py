@@ -8,12 +8,14 @@ per-day work (:func:`repro.exec.executor.compute_day`) in one supervised
 pool:
 
 * **salvage first** — every day is handed to the caller's
-  ``on_outcome`` hook the moment its future lands, so it reaches the day
-  store before anything riskier happens; a broken pool still yields the
-  days that finished before it broke;
-* **deadlines** — a day that runs longer than
-  ``ExecutionConfig.day_deadline_s`` in a worker is treated as hung and
-  the pool is torn down (SIGKILL on the stuck processes);
+  ``on_outcome`` hook as soon as its future lands and its worker has
+  the next day, so it reaches the day store before anything riskier
+  happens; a broken pool still yields the days that finished before it
+  broke;
+* **deadlines** — at most one day per worker is in flight, and a day
+  that runs longer than ``ExecutionConfig.day_deadline_s`` from its
+  hand-off is treated as hung and the pool is torn down (SIGKILL on the
+  stuck processes);
 * **hand-back** — a crashed worker (OOM kill, segfault, an injected
   ``worker-crash`` fault) breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`; on a broken pool or a
@@ -112,29 +114,36 @@ def _kill_pool(pool: cf.ProcessPoolExecutor) -> None:
 def _watch(
     pool: cf.ProcessPoolExecutor,
     days: list[int],
+    workers: int,
     deadline_s: Optional[float],
     deliver: Callable[[DayOutcome], None],
 ) -> Optional[str]:
-    """Submit ``days`` and ``deliver`` each outcome as it lands.
+    """Hand ``days`` to the pool and ``deliver`` each outcome as it lands.
 
-    Returns ``None`` once every day is delivered, else why the pool has
-    to go: it broke (mid-submission included), or a day ran past
-    ``deadline_s``.  Finished futures are delivered even when a sibling
-    broke the pool, so no finished work is discarded.  A genuine task
-    exception propagates unchanged.
+    At most ``workers`` days are in flight, so a day handed off starts
+    at once and its deadline clock runs from the hand-off; a day never
+    waits in the pool's call queue on the clock.  Returns ``None`` once
+    every day is delivered, else why the pool has to go: it broke
+    (mid-hand-off included), or a day ran past ``deadline_s``.  Finished
+    futures are delivered even when a sibling broke the pool, so no
+    finished work is discarded.  A genuine task exception propagates
+    unchanged.
     """
-    futures: dict[cf.Future, int] = {}
+    queued = list(days)
+    running: dict[cf.Future, tuple[int, float]] = {}
+    landed: list[cf.Future] = []
     broken = False
-    try:
-        for day in days:
-            futures[pool.submit(_worker_day, day)] = day
-    except cf.process.BrokenProcessPool:
-        broken = True  # a worker died while we were still submitting
-    waiting = set(futures)
-    started: dict[cf.Future, float] = {}
-    while waiting:
-        done, waiting = cf.wait(waiting, timeout=_POLL_S)
-        for fut in sorted(done, key=futures.__getitem__):
+    while True:
+        while queued and len(running) < workers and not broken:
+            try:
+                fut = pool.submit(_worker_day, queued[0])
+            except cf.process.BrokenProcessPool:
+                broken = True  # a worker died before this hand-off
+                break
+            running[fut] = (queued.pop(0), time.monotonic())
+        # Delivered after the refill, so no worker idles while the
+        # caller stores a day.
+        for fut in landed:
             exc = fut.exception()
             if exc is None:
                 deliver(fut.result())
@@ -142,23 +151,27 @@ def _watch(
                 broken = True
             else:
                 raise exc
-        if broken or deadline_s is None:
-            continue  # a broken pool resolves its siblings almost at once
-        now = time.monotonic()
-        for fut in waiting:
-            if fut not in started and fut.running():
-                started[fut] = now
-        hung = sorted(futures[fut] for fut, t0 in started.items()
-                      if fut in waiting and now - t0 > deadline_s)
-        if hung:
-            for day in hung:
-                log.warning("worker-hung", day=day, deadline_s=deadline_s)
-                if _obs.enabled:
-                    _metrics.counter(
-                        "exec.timeouts",
-                        "day tasks past their deadline (hung worker killed)",
-                    ).inc()
-            return f"day(s) {hung} ran past the {deadline_s}s deadline"
+        if not running:
+            break
+        # A broken pool resolves its siblings almost at once.
+        if not broken and deadline_s is not None:
+            now = time.monotonic()
+            hung = sorted(day for day, t0 in running.values()
+                          if now - t0 > deadline_s)
+            if hung:
+                for day in hung:
+                    log.warning("worker-hung", day=day, deadline_s=deadline_s)
+                    if _obs.enabled:
+                        _metrics.counter(
+                            "exec.timeouts",
+                            "day tasks past their deadline (hung worker killed)",
+                        ).inc()
+                return f"day(s) {hung} ran past the {deadline_s}s deadline"
+        done, _ = cf.wait(running, timeout=_POLL_S,
+                          return_when=cf.FIRST_COMPLETED)
+        landed = sorted(done, key=lambda f: running[f][0])
+        for fut in landed:
+            del running[fut]
     return "a worker died and broke the process pool" if broken else None
 
 
@@ -177,7 +190,7 @@ def run_days_supervised(
 ) -> dict[int, DayOutcome]:
     """Fan ``days`` across one supervised process pool; outcomes by day.
 
-    ``on_outcome`` is invoked for every completed day the moment it
+    ``on_outcome`` is invoked for every completed day as soon as it
     lands — including days salvaged out of a broken pool — so the caller
     can store it before the supervisor does anything riskier.
     ``crash_days`` / ``hang_days`` inject executor-level faults: a worker
@@ -207,10 +220,11 @@ def run_days_supervised(
 
     with span("exec.supervise", days=len(days),
               workers=execution.worker_count):
-        pool = _spawn_pool(min(execution.worker_count, len(days)), payload,
-                           crash_days, hang_days, hang_s)
+        workers = min(execution.worker_count, len(days))
+        pool = _spawn_pool(workers, payload, crash_days, hang_days, hang_s)
         try:
-            cause = _watch(pool, days, execution.day_deadline_s, deliver)
+            cause = _watch(pool, days, workers, execution.day_deadline_s,
+                           deliver)
         except BaseException:
             _kill_pool(pool)
             raise

@@ -251,7 +251,6 @@ def run_mission(
                 for badge_id, summary in outcome.summaries.items():
                     sensing.summaries[(badge_id, day)] = summary
                 sensing.pairwise[day] = outcome.pairwise
-                outcome.telemetry = None  # merged already; don't retain snapshots
         finally:
             if journal is not None:
                 journal.close()

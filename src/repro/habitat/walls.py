@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.errors import ConfigError
 from repro.habitat.floorplan import OUTSIDE, FloorPlan
 from repro.habitat.geometry import Point
-from repro.habitat.rooms import MAIN_HALL
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,3 @@ class WallModel:
         if OUTSIDE in (ra, rb):
             return 3
         return int(plan.wall_matrix()[ra, rb])
-
-
-def hall_crossing_rooms(plan: FloorPlan) -> list[str]:
-    """Names of rooms reachable from the hall through one door (all of them)."""
-    return [room.name for room in plan.rooms if room.name != MAIN_HALL]

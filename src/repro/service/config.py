@@ -43,8 +43,6 @@ class ServiceConfig:
             including post-crash re-leases — before the job is
             dead-lettered (state ``dead``) instead of requeued.
         retry_backoff_s: base of the exponential requeue backoff.
-        backoff_seed: seed of the jitter RNG so retry schedules are
-            reproducible.
         job_timeout_s: optional per-job wall-clock deadline; a job
             running longer stops being heartbeated, its lease expires,
             and it is requeued against the retry budget.
@@ -58,7 +56,6 @@ class ServiceConfig:
     lease_s: float = 30.0
     max_attempts: int = 3
     retry_backoff_s: float = 0.25
-    backoff_seed: int = 0
     job_timeout_s: Optional[float] = None
     poll_s: float = 0.05
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.support.reliable import backoff_delay_s
 
 #: Jitter multiplier range: requeue storms desynchronize without ever
 #: collapsing a delay to zero.
@@ -24,10 +25,11 @@ class BackoffPolicy:
     """Seeded exponential backoff for job requeues.
 
     The delay before attempt ``n`` retries is
-    ``base * 2**(n-1) * U(0.5, 1.5)``, capped.  The jitter stream is
-    seeded, so a service restarted with the same seed reproduces the
-    same requeue schedule — chaos tests can assert on timing classes
-    instead of racing them.
+    ``base * 2**(n-1) * U(0.5, 1.5)``, capped
+    (:func:`~repro.support.reliable.backoff_delay_s`).  The jitter
+    stream is seeded (the service uses seed 0), so a restarted service
+    reproduces the same requeue schedule — chaos tests can assert on
+    timing classes instead of racing them.
     """
 
     base_s: float = 0.25
@@ -46,9 +48,8 @@ class BackoffPolicy:
         """Backoff before the next try, given ``attempts`` already made."""
         if self.base_s == 0:
             return 0.0
-        exponent = max(0, attempts - 1)
         jitter = float(self._rng.uniform(JITTER_LOW, JITTER_HIGH))
-        return min(self.cap_s, self.base_s * (2.0 ** exponent) * jitter)
+        return min(self.cap_s, backoff_delay_s(self.base_s, attempts, jitter))
 
 
 #: Jobs in these states occupy backlog slots for admission control.

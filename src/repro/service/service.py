@@ -52,8 +52,7 @@ class FleetService:
         self.chaos = chaos or ServiceChaos()
         self.owner = process_owner()
         self.registry: Optional[MissionRegistry] = None
-        self._backoff = BackoffPolicy(
-            base_s=config.retry_backoff_s, seed=config.backoff_seed)
+        self._backoff = BackoffPolicy(base_s=config.retry_backoff_s)
         self._stop = asyncio.Event()
         #: The loop ``run`` serves on, while it does.
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -17,7 +17,7 @@ fault-injection action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -577,16 +577,3 @@ class Node:
 
         task._event = self.sim.schedule(period_s, tick)
         return task
-
-
-@dataclass
-class EventLog:
-    """Shared append-only log used by tests and scenarios."""
-
-    entries: list[tuple[float, str, str]] = field(default_factory=list)
-
-    def record(self, time_s: float, source: str, text: str) -> None:
-        self.entries.append((time_s, source, text))
-
-    def matching(self, substring: str) -> list[tuple[float, str, str]]:
-        return [e for e in self.entries if substring in e[2]]

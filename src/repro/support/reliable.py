@@ -11,6 +11,8 @@ bus, so delivery is **exactly-once-or-dead-lettered** — never silent.
 This module holds the pure state machines that layer uses; they have no
 simulator or network dependency so they stay independently testable:
 
+- :func:`backoff_delay_s` — the one exponential-backoff formula, shared
+  with the fleet service's requeue policy;
 - :class:`PendingReliable` — one in-flight reliable message on the
   sender (attempt count, backoff schedule, ack timer handle);
 - :class:`DeadLetter` — a message the sender gave up on, with the
@@ -42,6 +44,16 @@ DEFAULT_FAILURE_THRESHOLD = 4
 DEFAULT_COOLDOWN_TIMEOUTS = 10.0
 
 
+def backoff_delay_s(base_s: float, attempts: int, jitter: float) -> float:
+    """Backoff after ``attempts`` tries: ``base_s * 2**(attempts-1) * jitter``.
+
+    Each caller draws ``jitter`` from its own stream: the bus from the
+    network RNG, the fleet service from its seeded requeue policy.
+    ``attempts`` below 1 counts as 1.
+    """
+    return base_s * (2.0 ** max(0, attempts - 1)) * jitter
+
+
 @dataclass
 class PendingReliable:
     """Sender-side state for one in-flight reliable message."""
@@ -65,7 +77,7 @@ class PendingReliable:
         by the caller from the network RNG so retry storms desynchronize
         deterministically).
         """
-        return self.backoff_base_s * (2.0 ** (self.attempts - 1)) * jitter
+        return backoff_delay_s(self.backoff_base_s, self.attempts, jitter)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,11 @@ import pytest
 from repro.analytics.dataset_io import ARTIFACT_NAME, load_sensing, save_sensing
 from repro.analytics.reports import table1
 from repro.analytics.speech import mission_speech_fraction
+from repro.core.config import MissionConfig
 from repro.core.errors import ConfigError, DataError
+from repro.exec.integrity import write_artifact
+from repro.experiments.mission import run_mission
+from repro.faults import FaultCampaign
 
 
 @pytest.fixture(scope="module")
@@ -16,9 +20,19 @@ def round_tripped(sensing, tmp_path_factory):
     return load_sensing(path)
 
 
+@pytest.fixture(scope="module")
+def faulted_cfg():
+    plan = FaultCampaign.reference(days=2, seed=1).generate()
+    return MissionConfig(days=2, frame_dt=5.0, fault_plan=plan)
+
+
 class TestRoundTrip:
-    def test_config_restored(self, round_tripped, mission_cfg):
+    def test_config_restored(self, round_tripped, mission_cfg, faulted_cfg,
+                             tmp_path):
         assert round_tripped.cfg == mission_cfg
+        # Every field comes back, the fault plan included.
+        save_sensing(run_mission(faulted_cfg).sensing, tmp_path)
+        assert load_sensing(tmp_path, quality="off").cfg == faulted_cfg
 
     def test_summaries_identical(self, round_tripped, sensing):
         assert set(round_tripped.summaries) == set(sensing.summaries)
@@ -67,8 +81,7 @@ class TestIntegrityEnvelope:
 
     def test_saved_as_single_artifact(self, sensing, tmp_path):
         path = self.save(sensing, tmp_path)
-        assert (path / ARTIFACT_NAME).exists()
-        assert not list(path.glob("*.npz"))
+        assert [p.name for p in path.iterdir()] == [ARTIFACT_NAME]
 
     def test_bit_flip_detected_and_quarantined(self, sensing, tmp_path):
         path = self.save(sensing, tmp_path)
@@ -90,13 +103,19 @@ class TestIntegrityEnvelope:
         with pytest.raises(DataError):
             load_sensing(path)
 
-    def test_legacy_directory_still_loads(self, sensing, tmp_path):
-        from repro.analytics.dataset_io import sensing_to_store
-
-        path = tmp_path / "legacy"
-        sensing_to_store(sensing).save_dir(path)  # pre-envelope layout
-        loaded = load_sensing(path)
-        assert set(loaded.summaries) == set(sensing.summaries)
+    @pytest.mark.parametrize("layout", ["schema-1", "npz"])
+    def test_older_dataset_refused_and_left_in_place(self, tmp_path, layout):
+        if layout == "schema-1":
+            write_artifact(tmp_path / ARTIFACT_NAME,
+                           {"arrays": {}, "meta": {}}, schema=1)
+        else:
+            np.savez_compressed(tmp_path / "cfg.npz", x=np.zeros(3))
+            (tmp_path / "meta.json").write_text("{}")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(DataError, match="run `repro save` again"):
+            load_sensing(tmp_path)
+        # Not corrupt, so nothing is quarantined or moved.
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_quality_off_serves_raw_bytes(self, sensing, tmp_path):
         path = self.save(sensing, tmp_path)

@@ -9,6 +9,7 @@ from repro.exec import integrity
 from repro.exec.integrity import (
     ArtifactCorrupt,
     ArtifactError,
+    ArtifactSchemaMismatch,
     ArtifactUnreadable,
     checksum,
     quarantine,
@@ -76,7 +77,7 @@ class TestVerification:
     def test_schema_mismatch_is_unreadable(self, tmp_path):
         path = tmp_path / "a.pkl"
         write_artifact(path, "payload", schema=1)
-        with pytest.raises(ArtifactUnreadable):
+        with pytest.raises(ArtifactSchemaMismatch):
             read_artifact(path, schema=2)
 
     def test_wrong_envelope_shape_is_unreadable(self, tmp_path):
@@ -90,6 +91,7 @@ class TestVerification:
 
         assert issubclass(ArtifactCorrupt, ArtifactError)
         assert issubclass(ArtifactUnreadable, ArtifactError)
+        assert issubclass(ArtifactSchemaMismatch, ArtifactUnreadable)
         assert issubclass(ArtifactError, DataError)
 
 

@@ -178,6 +178,18 @@ class TestDeadlines:
         assert len(handed_back) == 1 and "deadline" in handed_back[0]
         assert_bit_identical(serial_result, result)
 
+    def test_queued_day_is_not_on_the_clock(self):
+        """Three 1 s days on two workers: the third waits for a free
+        worker, and that wait must not count against its deadline."""
+        cfg = MissionConfig(days=4, seed=5, frame_dt=60.0, events=None)
+        truth = simulate_mission(cfg)
+        models = SensingModels.default(cfg, truth.plan)
+        stack = truth, models, Localizer(truth.plan, models.beacons)
+        execution = dataclasses.replace(FAST, day_deadline_s=1.6)
+        outcomes = _supervise(cfg, stack, [2, 3, 4], execution,
+                              hang_days=frozenset({2, 3, 4}), hang_s=1.0)
+        assert sorted(outcomes) == [2, 3, 4]
+
     def test_timeout_counter_increments(self, cfg, stack):
         from repro import obs
 

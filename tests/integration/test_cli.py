@@ -61,6 +61,33 @@ class TestBadMissionInput:
         assert "held by" in err
 
 
+class TestDatasetErrors:
+    def test_missing_dataset_one_error_line_exit_2(self, capsys, tmp_path):
+        assert main(["analyze", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: no saved dataset"), err
+        assert err.count("\n") == 1, err
+
+    def test_strict_quarantine_one_error_line_exit_2(self, capsys, tmp_path):
+        import dataclasses
+
+        from repro.analytics.dataset_io import save_sensing
+        from repro.core.config import MissionConfig
+        from repro.experiments.mission import run_mission
+
+        cfg = MissionConfig(days=2, seed=21, frame_dt=5.0, events=None)
+        sensing = run_mission(cfg).sensing
+        summary = sensing.summaries[(0, 2)]
+        # A badge-day at the wrong frame rate cannot be repaired.
+        sensing.summaries[(0, 2)] = dataclasses.replace(
+            summary, dt=summary.dt * 2)
+        save_sensing(sensing, tmp_path)
+        assert main(["analyze", str(tmp_path), "--gate", "strict"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1, err
+        assert "quarantined by the quality gate" in err
+
+
 class TestQualityCli:
     def test_corruption_campaign_reports(self, capsys):
         args = ["quality", "--days", "3", "--seed", "21", "--no-events",
