@@ -18,13 +18,7 @@ from benchmarks.conftest import write_artifact
 from repro.core.config import MissionConfig
 from repro.faults.campaign import FaultCampaign
 from repro.faults.scenario import run_support_scenario
-from repro.reliability import (
-    CoverageModel,
-    ReliabilityModel,
-    default_coverage_config,
-    sweep_coverage_regimes,
-    sweep_regimes,
-)
+from repro.reliability import CoverageModel, ReliabilityModel, sweep_regimes
 
 #: The acceptance floor: analytic regime scoring vs empirical replay.
 MIN_ANALYTIC_SPEEDUP = 100.0
@@ -73,7 +67,7 @@ def test_coverage_predictor_beats_gated_mission_by_100x(artifact_dir):
     """The sensing-level counterpart: a full banded coverage prediction
     vs one empirical gated-mission replay of the same campaign."""
     campaign = FaultCampaign.coverage_reference(days=14, seed=0)
-    cfg = default_coverage_config(campaign)
+    cfg = CoverageModel.default_config(campaign)
 
     # Empirical cost: generate the plan, assemble the mission, gate it.
     from repro.experiments.mission import run_mission
@@ -96,8 +90,8 @@ def test_coverage_predictor_beats_gated_mission_by_100x(artifact_dir):
 
     # And the regime-search amortization on top of it.
     t0 = time.perf_counter()
-    regimes = sweep_coverage_regimes(
-        base=campaign, n_regimes=N_REGIMES, seed=0, top_k=3)
+    regimes = sweep_regimes(
+        base=campaign, n_regimes=N_REGIMES, seed=0, top_k=3, model=CoverageModel)
     sweep_s = (time.perf_counter() - t0) / N_REGIMES
 
     speedup = empirical_s / analytic_s

@@ -35,7 +35,6 @@ from repro.reliability import (
     ValidationResult,
     sweep_regimes,
     validate_campaign,
-    worst_case_campaigns,
 )
 
 __version__ = "1.0.0"
@@ -69,5 +68,4 @@ __all__ = [
     "simulate_mission",
     "sweep_regimes",
     "validate_campaign",
-    "worst_case_campaigns",
 ]

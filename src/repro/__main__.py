@@ -19,6 +19,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro import (
@@ -213,43 +214,24 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from repro.core.config import MissionConfig
-    from repro.faults.campaign import FaultCampaign
     from repro.reliability import (
         CoverageModel,
         ReliabilityModel,
-        default_coverage_config,
-        sweep_coverage_regimes,
         sweep_regimes,
         validate_campaign,
-        validate_coverage_campaign,
     )
 
-    coverage = getattr(args, "coverage", False)
+    model, kind, prefix = (
+        (CoverageModel, "coverage", "coverage-regime") if args.coverage
+        else (ReliabilityModel, "reliability", "regime"))
 
-    def _campaign(seed: int) -> FaultCampaign:
-        if coverage:
-            return FaultCampaign.coverage_reference(days=args.days, seed=seed)
-        return FaultCampaign.reference(days=args.days, seed=seed)
-
-    cfg = MissionConfig(days=args.days, seed=args.seed)
-
-    def _model(campaign: FaultCampaign):
-        if coverage:
-            return CoverageModel(campaign)
-        return ReliabilityModel(campaign,
-                                earth_link_delay_s=cfg.earth_link_delay_s)
-
-    def _validate(campaign: FaultCampaign):
-        if coverage:
-            mission_cfg = dataclasses.replace(
-                default_coverage_config(campaign), seed=args.seed)
-            return validate_coverage_campaign(
-                campaign, mission_cfg, confidence=args.confidence)
-        return validate_campaign(campaign, cfg, confidence=args.confidence)
+    def _validate(campaign):
+        cfg = dataclasses.replace(model.default_config(campaign), seed=args.seed)
+        return validate_campaign(campaign, cfg, args.confidence, model=model)
 
     if args.rel_command == "predict":
-        prediction = _model(_campaign(args.campaign_seed)).predict(args.confidence)
+        campaign = model.reference(days=args.days, seed=args.campaign_seed)
+        prediction = model(campaign).predict(args.confidence)
         print(prediction.to_text())
         if args.json:
             print()
@@ -257,7 +239,8 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         return 0
 
     if args.rel_command == "validate":
-        result, report = _validate(_campaign(args.campaign_seed))
+        result, report = _validate(
+            model.reference(days=args.days, seed=args.campaign_seed))
         print(result.to_text())
         print()
         print(report.to_text())
@@ -269,15 +252,9 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         return 0 if result.all_inside else 1
 
     # search
-    if coverage:
-        regimes = sweep_coverage_regimes(
-            base=_campaign(0), n_regimes=args.regimes, seed=args.sweep_seed,
-            top_k=args.top)
-    else:
-        regimes = sweep_regimes(
-            base=_campaign(0), n_regimes=args.regimes, seed=args.sweep_seed,
-            top_k=args.top, earth_link_delay_s=cfg.earth_link_delay_s)
-    kind = "coverage" if coverage else "reliability"
+    regimes = sweep_regimes(
+        model.reference(days=args.days, seed=0), n_regimes=args.regimes,
+        seed=args.sweep_seed, top_k=args.top, model=model)
     print(f"swept {args.regimes} {kind} regimes analytically; "
           f"top {args.top} predicted-worst:")
     for regime in regimes:
@@ -286,11 +263,10 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    prefix = "coverage-regime" if coverage else "regime"
     for regime in regimes:
         artifact = {
             "regime": regime.to_dict(),
-            "prediction": _model(regime.campaign).predict(args.confidence).to_dict(),
+            "prediction": model(regime.campaign).predict(args.confidence).to_dict(),
         }
         if args.empirical:
             result, report = _validate(regime.campaign)
@@ -653,9 +629,17 @@ def main(argv: list[str] | None = None) -> int:
     # An expected failure is one stderr line, like argparse's own errors,
     # never a traceback; 75 (EX_TEMPFAIL) tells schedulers to retry.
     # QueueFullError is a ServiceError and JournalBusyError a DataError,
-    # so both are caught first.
+    # so both are caught first.  A reader that closes the pipe early
+    # (``repro ... | head``) ends the run silently with exit 1: stdout is
+    # flushed here so the error surfaces inside the try, then pointed at
+    # devnull so the interpreter's own flush at exit cannot raise again.
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (QueueFullError, JournalBusyError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 75

@@ -15,33 +15,37 @@ matching *analytic* side:
   availability, MTTR, outage counts, and reliable-delivery success in
   closed form;
 - :mod:`repro.reliability.validate` — runs a seeded campaign through
-  the real support stack and asserts the measured report lands inside
-  the model's bands (bands from the horizon's own sampling
-  distribution, not hand-tuned tolerances);
+  the real system and asserts the measured report lands inside the
+  model's bands (bands from the horizon's own sampling distribution,
+  not hand-tuned tolerances);
 - :mod:`repro.reliability.search` — sweeps the rate space cheaply in
   closed form and emits the top-K predicted-worst regimes as concrete
   seeded campaigns for the tier-2 chaos suite;
 - :mod:`repro.reliability.coverage` — :class:`CoverageModel`, the same
   machinery for the *sensing*-level fault classes: closed-form
   predictions of the quality gate's coverage metrics (verdict counts,
-  masked channels, repairs, dead beacon-days) with validation against
-  gated mission runs and a worst-*coverage* regime search.
+  masked channels, repairs, dead beacon-days), validated against gated
+  mission runs.
+
+Both models carry the same protocol (``reference``, ``default_config``,
+the sweep space, the regime record type, ``measure`` and ``compare``),
+so :func:`sweep_regimes` and :func:`validate_campaign` take the model
+class as ``model=`` and serve both.
 
 Usage::
 
     from repro.faults.campaign import FaultCampaign
-    from repro.reliability import ReliabilityModel, validate_campaign
+    from repro.reliability import (
+        CoverageModel, ReliabilityModel, sweep_regimes, validate_campaign)
 
     campaign = FaultCampaign.reference(days=14, seed=0)
     prediction = ReliabilityModel(campaign).predict()
     result, report = validate_campaign(campaign)
     assert result.all_inside
+    worst = sweep_regimes(top_k=3, model=CoverageModel)
 """
 
-from repro.reliability.coverage import (
-    CoverageModel,
-    default_coverage_config,
-)
+from repro.reliability.coverage import CoverageModel
 from repro.reliability.ctmc import CTMC, TwoStateChain
 from repro.reliability.model import (
     DEFAULT_CONFIDENCE,
@@ -58,18 +62,8 @@ from repro.reliability.prediction import (
     ValidationCheck,
     ValidationResult,
 )
-from repro.reliability.search import (
-    sweep_coverage_regimes,
-    sweep_regimes,
-    worst_case_campaigns,
-    worst_coverage_campaigns,
-)
-from repro.reliability.validate import (
-    compare_quality_report,
-    compare_report,
-    validate_campaign,
-    validate_coverage_campaign,
-)
+from repro.reliability.search import sweep_regimes
+from repro.reliability.validate import validate_campaign
 
 __all__ = [
     "Band",
@@ -85,14 +79,7 @@ __all__ = [
     "TwoStateChain",
     "ValidationCheck",
     "ValidationResult",
-    "compare_quality_report",
-    "compare_report",
-    "default_coverage_config",
     "expected_event_counts",
-    "sweep_coverage_regimes",
     "sweep_regimes",
     "validate_campaign",
-    "validate_coverage_campaign",
-    "worst_case_campaigns",
-    "worst_coverage_campaigns",
 ]

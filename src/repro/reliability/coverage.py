@@ -54,6 +54,7 @@ and the reference-campaign anchor tests pin that claim empirically.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional
 
@@ -62,20 +63,28 @@ import numpy as np
 from repro.core.config import MissionConfig
 from repro.core.units import DAY
 from repro.faults.campaign import FaultCampaign
+from repro.faults.plan import FaultPlan
 from repro.quality.gate import QualityPolicy
+from repro.quality.report import DataQualityReport
 from repro.reliability.ctmc import binomial_quantile
 from repro.reliability.model import (
     DEFAULT_CONFIDENCE,
+    _event_count_checks,
     _normal_quantile,
     expected_event_counts,
 )
-from repro.reliability.prediction import Band, CoveragePrediction
+from repro.reliability.prediction import (
+    Band,
+    CoveragePrediction,
+    CoverageRegime,
+    ValidationCheck,
+    ValidationResult,
+)
 
 __all__ = [
     "CoverageModel",
     "DEFAULT_ACTIVE_FRACTION",
     "STUCK_MARK_PROB",
-    "default_coverage_config",
 ]
 
 #: Fraction of daytime frames a primary badge spends ``active`` under
@@ -103,23 +112,6 @@ ACTIVE_FRACTION_SPREAD = 0.12
 _N_COMBOS = 35.0
 
 
-def default_coverage_config(campaign: FaultCampaign) -> MissionConfig:
-    """The mission config the coverage validation harness runs.
-
-    Matches the campaign horizon; ``frame_dt=60`` keeps the empirical
-    gate run affordable (the model reads every frame count from the
-    config, so predictions track whatever config is used).
-    """
-    return MissionConfig(
-        days=max(1, int(round(campaign.days))),
-        seed=7,
-        crew_size=3,
-        frame_dt=60.0,
-        badges_from_day=1,
-        events=None,
-    )
-
-
 def _int_band(mean: float, sigma: float, z: float,
               lo_cap: float = 0.0, hi_cap: Optional[float] = None) -> Band:
     """A normal band around an integer-valued count, rounded outward."""
@@ -144,11 +136,51 @@ class CoverageModel:
     """Closed-form coverage predictions for one fault campaign.
 
     ``cfg`` names the mission the campaign will strike (defaults to
-    :func:`default_coverage_config`); the model reads frame counts,
+    :meth:`default_config`); the model reads frame counts,
     crew size, and instrumented days from it and the event counts and
     severity distributions from the campaign, and mirrors the gate's
     thresholds from :class:`~repro.quality.gate.QualityPolicy` defaults.
+    Its class attributes, :meth:`measure` and :meth:`compare` are the
+    ones :class:`~repro.reliability.model.ReliabilityModel` has.
     """
+
+    #: The campaign the CLI predicts, validates, and sweeps around.
+    reference = staticmethod(FaultCampaign.coverage_reference)
+    #: Record type of one ranked sweep regime.
+    regime = CoverageRegime
+    #: The regime sweep's space (see ``ReliabilityModel.swept_rates``):
+    #: the beacon-outage rate and duration, the data-corruption counts
+    #: and battery depletions.
+    swept_rates: dict[str, tuple[float, float]] = {
+        "beacon_outages_per_day": (0.25, 8.0),
+        "mean_beacon_outage_s": (0.25, 8.0),
+    }
+    swept_counts: dict[str, tuple[float, float]] = {
+        "bitrot_days": (0.25, 8.0),
+        "truncated_days": (0.25, 8.0),
+        "duplicated_days": (0.25, 8.0),
+        "stuck_days": (0.25, 8.0),
+        "clock_desyncs": (0.25, 8.0),
+        "battery_depletions": (0.25, 8.0),
+    }
+    swept_values: dict[str, tuple[float, float]] = {}
+
+    @staticmethod
+    def default_config(campaign: FaultCampaign) -> MissionConfig:
+        """The mission config the coverage validation harness runs.
+
+        Matches the campaign horizon; ``frame_dt=60`` keeps the empirical
+        gate run affordable (the model reads every frame count from the
+        config, so predictions track whatever config is used).
+        """
+        return MissionConfig(
+            days=max(1, int(round(campaign.days))),
+            seed=7,
+            crew_size=3,
+            frame_dt=60.0,
+            badges_from_day=1,
+            events=None,
+        )
 
     def __init__(self, campaign: FaultCampaign,
                  cfg: Optional[MissionConfig] = None, *,
@@ -156,7 +188,7 @@ class CoverageModel:
                  stuck_mark_prob: float = STUCK_MARK_PROB,
                  grid: int = 2048):
         self.campaign = campaign
-        self.cfg = cfg if cfg is not None else default_coverage_config(campaign)
+        self.cfg = cfg if cfg is not None else self.default_config(campaign)
         self.horizon_s = campaign.horizon_s
         self.active_fraction = float(active_fraction)
         self.stuck_mark_prob = float(stuck_mark_prob)
@@ -376,23 +408,32 @@ class CoverageModel:
         ]
         return starts, cfg.daytime_s, self.horizon_s
 
-    def _beacon_moments(self) -> tuple[float, float]:
-        """Per-outage moments of the number of sensing days overlapped.
+    def _beacon_mean_days(self) -> float:
+        """Mean number of sensing days one beacon outage overlaps.
 
         An outage ``[t, t + d)`` with ``t ~ U(0, H)`` and
         ``d = 1 + Exp(mu)`` overlaps day window ``[s, s + W)`` iff
         ``t < s + W`` and ``t + d > s``; the t-measure of that set is
-        ``W + min(s, d)``, giving the closed-form first moment.  The
-        second moment integrates the overlap count on a (t, d) grid.
+        ``W + min(s, d)``, giving this closed form.
+        """
+        starts, W, H = self._beacon_day_windows()
+        mu = self.campaign.mean_beacon_outage_s
+        return sum(
+            (W + 1.0 + mu * (1.0 - math.exp(-(s - 1.0) / mu))) / H
+            for s in starts
+        )
+
+    def _beacon_moments(self) -> tuple[float, float]:
+        """Per-outage moments of the number of sensing days overlapped.
+
+        The first is :meth:`_beacon_mean_days`; the second integrates
+        the overlap count on a (t, d) grid.
         """
         starts, W, H = self._beacon_day_windows()
         mu = self.campaign.mean_beacon_outage_s
         if not starts:
             return 0.0, 0.0
-        k1 = sum(
-            (W + 1.0 + mu * (1.0 - math.exp(-(s - 1.0) / mu))) / H
-            for s in starts
-        )
+        k1 = self._beacon_mean_days()
         # Second moment: 512 t-midpoints x 64 duration quantiles.
         t = (np.arange(512) + 0.5) * (H / 512)
         q = (np.arange(64) + 0.5) / 64
@@ -543,12 +584,83 @@ class CoverageModel:
         c = self.campaign
         beacon_cols = c.n_beacons * len(self.instrumented_days)
         if beacon_cols and c.beacon_outages_per_day > 0.0:
-            starts, W, H = self._beacon_day_windows()
-            mu = c.mean_beacon_outage_s
-            k1 = sum(
-                (W + 1.0 + mu * (1.0 - math.exp(-(s - 1.0) / mu))) / H
-                for s in starts
-            )
-            badness += min(1.0, c.beacon_outages_per_day * c.days * k1
-                           / beacon_cols)
+            badness += min(1.0, c.beacon_outages_per_day * c.days
+                           * self._beacon_mean_days() / beacon_cols)
         return badness, coverage, quarantined
+
+    # -- the empirical side ------------------------------------------------
+
+    def measure(self, plan: FaultPlan) -> DataQualityReport:
+        """Strike a gated mission with ``plan``; the gate's report.
+
+        The empirical side is the real thing end to end: the plan
+        corrupts the assembled mission dataset and the quality gate
+        judges every badge-day.
+        """
+        # Local import: the mission stack is heavy and only the coverage
+        # harness needs it.
+        from repro.experiments.mission import run_mission
+
+        mission = run_mission(dataclasses.replace(self.cfg, fault_plan=plan),
+                              quality="gate")
+        return mission.quality
+
+    def compare(
+        self,
+        report: DataQualityReport,
+        confidence: float = DEFAULT_CONFIDENCE,
+        plan: Optional[FaultPlan] = None,
+    ) -> ValidationResult:
+        """Check a measured DataQualityReport against the coverage model.
+
+        Every coverage number the report carries is compared: the verdict
+        counts, the coverage fraction, per-channel masked frames, per-kind
+        repair counts.  Channels or repair kinds the model does not predict
+        get a degenerate ``[0, 0]`` band, so an unmodeled gate response is a
+        failed check, not a silent gap.  With the generated ``plan``, the
+        dead-beacon-day count (a pure function of the plan) and the per-kind
+        event draws are checked too.
+        """
+        prediction = self.predict(confidence)
+        days = float(prediction.badge_days)
+        checks = [
+            ValidationCheck.of("badge_days", float(len(report.verdicts)),
+                               Band(mean=days, lo=days, hi=days)),
+            ValidationCheck.of("coverage", report.coverage(), prediction.coverage),
+            ValidationCheck.of("verdicts[ok]", float(report.n_ok), prediction.n_ok),
+            ValidationCheck.of("verdicts[repaired]", float(report.n_repaired),
+                               prediction.n_repaired),
+            ValidationCheck.of("verdicts[quarantined]", float(report.n_quarantined),
+                               prediction.n_quarantined),
+        ]
+        zero = Band(mean=0.0, lo=0.0, hi=0.0)
+        masked = report.masked_by_channel()
+        for channel in sorted(set(prediction.masked_channels) | set(masked)):
+            checks.append(ValidationCheck.of(
+                f"masked[{channel}]", float(masked.get(channel, 0)),
+                prediction.masked_channels.get(channel, zero)))
+        repairs = report.repairs_total()
+        for kind in sorted(set(prediction.repairs) | set(repairs)):
+            checks.append(ValidationCheck.of(
+                f"repairs[{kind}]", float(repairs.get(kind, 0)),
+                prediction.repairs.get(kind, zero)))
+
+        if plan is not None:
+            if prediction.dead_beacon_days is not None:
+                cfg = self.cfg
+                dead = float(sum(
+                    len(plan.dead_beacons_on_day(
+                        day, cfg.daytime_start_s, cfg.daytime_s
+                    ))
+                    for day in self.instrumented_days
+                ))
+                checks.append(ValidationCheck.of(
+                    "dead_beacon_days", dead, prediction.dead_beacon_days))
+            checks.extend(_event_count_checks(self.campaign, plan, confidence))
+
+        return ValidationResult(
+            campaign_seed=self.campaign.seed,
+            horizon_s=self.horizon_s,
+            confidence=confidence,
+            checks=tuple(checks),
+        )

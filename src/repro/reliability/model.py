@@ -29,14 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import MissionConfig
 from repro.core.units import DAY, HOUR
 from repro.faults.campaign import FaultCampaign
+from repro.faults.plan import FaultPlan
+from repro.faults.report import ReliabilityReport
 from repro.faults.scenario import (
     BATCH_PERIOD_S,
     FAILOVER_TIMEOUT_S,
     HEARTBEAT_S,
     LINK_LATENCY_S,
     STATUS_PERIOD_S,
+    run_support_scenario,
 )
 from repro.reliability.ctmc import (
     CTMC,
@@ -48,7 +52,10 @@ from repro.reliability.ctmc import (
 from repro.reliability.prediction import (
     Band,
     DeliveryPrediction,
+    Regime,
     ReliabilityPrediction,
+    ValidationCheck,
+    ValidationResult,
 )
 
 #: The campaign adds a one-second floor to every drawn window duration.
@@ -64,6 +71,9 @@ DEFAULT_CONFIDENCE = 0.998
 SUBMIT_MAX_ATTEMPTS = 5
 STATUS_MAX_ATTEMPTS = 3
 BREAKER_FAILURE_THRESHOLD_EARTH = 2
+
+#: Send period of each reliable message kind in the scenario workload.
+SEND_PERIOD_S = {"submit": BATCH_PERIOD_S, "status": STATUS_PERIOD_S}
 
 
 def _shifted_exp_moments(mean_s: float) -> tuple[float, float]:
@@ -122,16 +132,50 @@ class ReliabilityModel:
     :class:`~repro.faults.report.ReliabilityReport`'s availability,
     MTTR, and delivery metrics.  Sensing-level classes appear in the
     informational expected-fault table.
+
+    ``cfg`` is the mission the support scenario runs (defaults to
+    :meth:`default_config`); the model reads the Earth-link delay from
+    it, as the scenario does.  The class attributes and :meth:`measure`
+    / :meth:`compare` are what :func:`~repro.reliability.search.sweep_regimes`
+    and :func:`~repro.reliability.validate.validate_campaign` use;
+    :class:`~repro.reliability.coverage.CoverageModel` has the same ones.
     """
 
-    def __init__(
-        self,
-        campaign: FaultCampaign,
-        earth_link_delay_s: float = 20 * 60.0,
-    ):
+    #: The campaign the CLI predicts, validates, and sweeps around.
+    reference = staticmethod(FaultCampaign.reference)
+    #: Record type of one ranked sweep regime.
+    regime = Regime
+    #: The regime sweep's space, drawn in this order: log-uniform
+    #: multipliers on rate and duration fields, rounded log-uniform
+    #: multipliers on whole-mission counts, then fields drawn uniformly.
+    swept_rates: dict[str, tuple[float, float]] = {
+        "crashes_per_day": (0.25, 8.0),
+        "mean_downtime_s": (0.25, 8.0),
+        "flaps_per_day": (0.25, 8.0),
+        "mean_flap_s": (0.25, 8.0),
+        "lossy_windows_per_day": (0.25, 8.0),
+        "mean_lossy_s": (0.25, 8.0),
+        "blackouts_per_day": (0.25, 8.0),
+        "mean_blackout_s": (0.25, 8.0),
+    }
+    swept_counts: dict[str, tuple[float, float]] = {}
+    swept_values: dict[str, tuple[float, float]] = {"lossy_prob": (0.05, 0.9)}
+
+    @staticmethod
+    def default_config(campaign: FaultCampaign) -> MissionConfig:
+        """The mission config the support scenario runs for ``campaign``.
+
+        The scenario only reads days/seed/earth-link from the config;
+        badges and scripted events play no part, so short campaign
+        horizons must not trip their validation.
+        """
+        return MissionConfig(days=max(1, round(campaign.days)), seed=7,
+                             badges_from_day=1, events=None)
+
+    def __init__(self, campaign: FaultCampaign, cfg: MissionConfig | None = None):
         self.campaign = campaign
+        self.cfg = cfg if cfg is not None else self.default_config(campaign)
         self.horizon_s = campaign.horizon_s
-        self.earth_link_delay_s = earth_link_delay_s
 
         c = campaign
         T = self.horizon_s
@@ -170,7 +214,7 @@ class ReliabilityModel:
         self.submit_span_s = _retry_span_s(
             SUBMIT_MAX_ATTEMPTS, self.submit_ack_timeout_s
         )
-        earth_rtt = 2.0 * earth_link_delay_s
+        earth_rtt = 2.0 * self.cfg.earth_link_delay_s
         self.status_ack_timeout_s = earth_rtt + 120.0
         self.status_span_s = _retry_span_s(
             STATUS_MAX_ATTEMPTS, self.status_ack_timeout_s
@@ -188,7 +232,7 @@ class ReliabilityModel:
         Matches the scenario's precomputed schedules exactly
         (``np.arange(period, horizon, period)``).
         """
-        period = {"submit": BATCH_PERIOD_S, "status": STATUS_PERIOD_S}[kind]
+        period = SEND_PERIOD_S[kind]
         return len(np.arange(period, self.horizon_s, period))
 
     # -- delivery ---------------------------------------------------------
@@ -263,12 +307,11 @@ class ReliabilityModel:
         return comps
 
     def expected_dead(self, kind: str) -> float:
-        period = {"submit": BATCH_PERIOD_S, "status": STATUS_PERIOD_S}[kind]
         kill_s = sum(c.expected_kill_s for c in self.delivery_components(kind))
-        return min(float(self.n_sent(kind)), kill_s / period)
+        return min(float(self.n_sent(kind)), kill_s / SEND_PERIOD_S[kind])
 
     def delivery_prediction(self, kind: str, confidence: float) -> DeliveryPrediction:
-        period = {"submit": BATCH_PERIOD_S, "status": STATUS_PERIOD_S}[kind]
+        period = SEND_PERIOD_S[kind]
         n = self.n_sent(kind)
         comps = self.delivery_components(kind)
         mean_dead = sum(c.expected_kill_s for c in comps) / period
@@ -474,6 +517,53 @@ class ReliabilityModel:
         badness = system_unavail + (1.0 - min_avail) + delivery_loss
         return badness, min_avail, delivery_loss
 
+    # -- the empirical side ------------------------------------------------
+
+    def measure(self, plan: FaultPlan) -> ReliabilityReport:
+        """Run ``plan`` through the real support stack."""
+        return run_support_scenario(self.cfg, plan)
+
+    def compare(
+        self,
+        report: ReliabilityReport,
+        confidence: float = DEFAULT_CONFIDENCE,
+        plan: FaultPlan | None = None,
+    ) -> ValidationResult:
+        """Check one measured report against the model's bands.
+
+        Pure function of ``(model, report)`` — no simulation, so it can also
+        grade archived reports.  With the generated ``plan``, the expected
+        per-kind fault counts are checked against the actual draws too.
+        """
+        checks = [
+            ValidationCheck.of(f"availability[{node}]", report.availability[node],
+                               self.availability_band(node, confidence))
+            for node in sorted(report.availability)
+        ]
+        # MTTR: conditioned on the number of repairs the campaign actually
+        # observed — the band is the sampling distribution of a mean of
+        # n_outages (shifted) exponential repair draws.
+        mttr_band = self.mttr_band(confidence, n_outages=max(1, report.n_outages))
+        if mttr_band is not None:
+            checks.append(ValidationCheck.of("mttr_s", report.mttr_s, mttr_band))
+        if self.node_chains:
+            checks.append(ValidationCheck.of(
+                "n_outages", float(report.n_outages + report.n_censored_outages),
+                self.n_outages_band(confidence)))
+        for kind in ("submit", "status"):
+            checks.append(ValidationCheck.of(
+                f"delivery[{kind}]", report.delivery_success(kind),
+                self.delivery_prediction(kind, confidence).success))
+        if plan is not None:
+            checks.extend(_event_count_checks(self.campaign, plan, confidence))
+
+        return ValidationResult(
+            campaign_seed=self.campaign.seed,
+            horizon_s=self.horizon_s,
+            confidence=confidence,
+            checks=tuple(checks),
+        )
+
 
 #: Fault-class name -> the plan action its events carry, for counting a
 #: generated plan's actual draws against :func:`expected_event_counts`.
@@ -524,6 +614,37 @@ def expected_event_counts(campaign) -> dict[str, tuple[float, bool]]:
         out["data-clock-skew"] = (float(c.clock_desyncs), True)
     out["worker-crash"] = (float(c.worker_crashes), True)
     return {k: v for k, v in out.items() if v[0] > 0.0}
+
+
+def _event_count_checks(
+    campaign: FaultCampaign,
+    plan: FaultPlan,
+    confidence: float,
+) -> list[ValidationCheck]:
+    """Expected-fault table as a *checked* prediction, per kind.
+
+    The whole-mission count parameters (battery, SD-card, worker
+    crashes, the data-corruption kinds) are drawn verbatim, so they must
+    match exactly; the per-day rate classes are Poisson draws and get
+    Poisson bands at the validation confidence.
+    """
+    alpha = 1.0 - confidence
+    actual: dict[str, int] = {}
+    for event in plan.events:
+        actual[event.action] = actual.get(event.action, 0) + 1
+    checks: list[ValidationCheck] = []
+    for kind, (mean, exact) in expected_event_counts(campaign).items():
+        if exact:
+            band = Band(mean=mean, lo=mean, hi=mean)
+        else:
+            band = Band(
+                mean=mean,
+                lo=float(poisson_quantile(alpha / 2.0, mean)),
+                hi=float(poisson_quantile(1.0 - alpha / 2.0, mean)),
+            )
+        checks.append(ValidationCheck.of(
+            f"events[{kind}]", float(actual.get(EVENT_ACTIONS[kind], 0)), band))
+    return checks
 
 
 def _normal_quantile(p: float) -> float:

@@ -250,6 +250,12 @@ class ValidationCheck:
     band: Band
     inside: bool
 
+    @classmethod
+    def of(cls, metric: str, empirical: Optional[float],
+           band: Band) -> "ValidationCheck":
+        """The check of one measured value against its band."""
+        return cls(metric, empirical, band, band.contains(empirical))
+
     @property
     def delta(self) -> Optional[float]:
         """Empirical minus model mean (the obs-exported residual)."""

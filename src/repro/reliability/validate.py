@@ -1,14 +1,17 @@
-"""Empirical validation of the CTMC model against seeded campaigns.
+"""Empirical validation of an analytic model against seeded campaigns.
 
 :func:`validate_campaign` generates the campaign's concrete fault plan,
-runs it through the real support stack
-(:func:`~repro.faults.scenario.run_support_scenario`), and checks that
-every measured :class:`~repro.faults.report.ReliabilityReport` metric —
-per-node availability, MTTR, closed-outage count, per-kind delivery
-success — lands inside the model's finite-horizon confidence bands.
-The whole pipeline is seeded, so a given ``(campaign, cfg)`` pair
-produces a byte-identical :class:`ValidationResult` every run; that is
-what the tier-1 reference-campaign tests pin.
+runs it through the real system the model predicts (``model.measure``),
+and checks every measured metric against the model's finite-horizon
+confidence bands (``model.compare``).  For
+:class:`~repro.reliability.model.ReliabilityModel` that is the support
+stack's :class:`~repro.faults.report.ReliabilityReport` — per-node
+availability, MTTR, closed-outage count, per-kind delivery success; for
+:class:`~repro.reliability.coverage.CoverageModel` it is a gated
+mission's :class:`~repro.quality.report.DataQualityReport`.  The whole
+pipeline is seeded, so a given ``(campaign, cfg)`` pair produces a
+byte-identical :class:`ValidationResult` every run; that is what the
+tier-1 reference-campaign tests pin.
 
 Model-vs-empirical residuals are exported through :mod:`repro.obs`
 (``reliability.model.delta`` gauges, ``reliability.validations``
@@ -18,130 +21,15 @@ away from the measured system.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.core.config import MissionConfig
 from repro.faults.campaign import FaultCampaign
-from repro.faults.plan import FaultPlan
-from repro.faults.report import ReliabilityReport
-from repro.faults.scenario import run_support_scenario
 from repro.obs import _state as _obs
 from repro.obs import metrics as _metrics
 from repro.obs import span
-from repro.quality.report import DataQualityReport
-from repro.reliability.coverage import CoverageModel, default_coverage_config
-from repro.reliability.ctmc import poisson_quantile
-from repro.reliability.model import (
-    DEFAULT_CONFIDENCE,
-    EVENT_ACTIONS,
-    ReliabilityModel,
-    expected_event_counts,
-)
-from repro.reliability.prediction import Band, ValidationCheck, ValidationResult
-
-
-def _event_count_checks(
-    campaign: FaultCampaign,
-    plan: FaultPlan,
-    confidence: float,
-) -> list[ValidationCheck]:
-    """Expected-fault table as a *checked* prediction, per kind.
-
-    The whole-mission count parameters (battery, SD-card, worker
-    crashes, the data-corruption kinds) are drawn verbatim, so they must
-    match exactly; the per-day rate classes are Poisson draws and get
-    Poisson bands at the validation confidence.
-    """
-    alpha = 1.0 - confidence
-    actual: dict[str, int] = {}
-    for event in plan.events:
-        actual[event.action] = actual.get(event.action, 0) + 1
-    checks: list[ValidationCheck] = []
-    for kind, (mean, exact) in expected_event_counts(campaign).items():
-        if exact:
-            band = Band(mean=mean, lo=mean, hi=mean)
-        else:
-            band = Band(
-                mean=mean,
-                lo=float(poisson_quantile(alpha / 2.0, mean)),
-                hi=float(poisson_quantile(1.0 - alpha / 2.0, mean)),
-            )
-        value = float(actual.get(EVENT_ACTIONS[kind], 0))
-        checks.append(ValidationCheck(
-            metric=f"events[{kind}]",
-            empirical=value,
-            band=band,
-            inside=band.contains(value),
-        ))
-    return checks
-
-
-def compare_report(
-    model: ReliabilityModel,
-    report: ReliabilityReport,
-    confidence: float = DEFAULT_CONFIDENCE,
-    plan: Optional[FaultPlan] = None,
-) -> ValidationResult:
-    """Check one measured report against the model's bands.
-
-    Pure function of ``(model, report)`` — no simulation, so it can also
-    grade archived reports.  With the generated ``plan``, the expected
-    per-kind fault counts are checked against the actual draws too.
-    """
-    checks: list[ValidationCheck] = []
-
-    for node in sorted(report.availability):
-        band = model.availability_band(node, confidence)
-        value = report.availability[node]
-        checks.append(ValidationCheck(
-            metric=f"availability[{node}]",
-            empirical=value,
-            band=band,
-            inside=band.contains(value),
-        ))
-
-    # MTTR: conditioned on the number of repairs the campaign actually
-    # observed — the band is the sampling distribution of a mean of
-    # n_outages (shifted) exponential repair draws.
-    mttr_band = model.mttr_band(confidence, n_outages=max(1, report.n_outages))
-    if mttr_band is not None:
-        checks.append(ValidationCheck(
-            metric="mttr_s",
-            empirical=report.mttr_s,
-            band=mttr_band,
-            inside=mttr_band.contains(report.mttr_s),
-        ))
-
-    if model.node_chains:
-        outage_band = model.n_outages_band(confidence)
-        total_outages = float(report.n_outages + report.n_censored_outages)
-        checks.append(ValidationCheck(
-            metric="n_outages",
-            empirical=total_outages,
-            band=outage_band,
-            inside=outage_band.contains(total_outages),
-        ))
-
-    for kind in ("submit", "status"):
-        prediction = model.delivery_prediction(kind, confidence)
-        value = report.delivery_success(kind)
-        checks.append(ValidationCheck(
-            metric=f"delivery[{kind}]",
-            empirical=value,
-            band=prediction.success,
-            inside=prediction.success.contains(value),
-        ))
-
-    if plan is not None:
-        checks.extend(_event_count_checks(model.campaign, plan, confidence))
-
-    return ValidationResult(
-        campaign_seed=model.campaign.seed,
-        horizon_s=model.horizon_s,
-        confidence=confidence,
-        checks=tuple(checks),
-    )
+from repro.reliability.model import DEFAULT_CONFIDENCE, ReliabilityModel
+from repro.reliability.prediction import ValidationResult
 
 
 def _export_deltas(result: ValidationResult) -> None:
@@ -164,148 +52,22 @@ def validate_campaign(
     campaign: FaultCampaign,
     cfg: Optional[MissionConfig] = None,
     confidence: float = DEFAULT_CONFIDENCE,
-) -> tuple[ValidationResult, ReliabilityReport]:
-    """Run ``campaign`` empirically and grade it against the model.
+    *,
+    model: type = ReliabilityModel,
+) -> tuple[ValidationResult, object]:
+    """Run ``campaign`` empirically and grade it against ``model``.
 
-    Returns ``(validation, report)``; the mission config defaults to one
-    matching the campaign's horizon (the scenario only reads ``days``,
-    ``seed``, and the Earth-link delay from it).
+    Returns ``(validation, report)``: the report is the support
+    scenario's :class:`~repro.faults.report.ReliabilityReport` or the
+    gated mission's :class:`~repro.quality.report.DataQualityReport`.
+    The mission config defaults to ``model.default_config(campaign)``,
+    which matches the campaign's horizon.
     """
-    if cfg is None:
-        # The support scenario only reads days/seed/earth-link from the
-        # config; badges and scripted events play no part, so short
-        # campaign horizons must not trip their validation.
-        cfg = MissionConfig(days=max(1, round(campaign.days)), seed=7,
-                            badges_from_day=1, events=None)
-    model = ReliabilityModel(campaign, earth_link_delay_s=cfg.earth_link_delay_s)
-    with span("reliability.validate", seed=campaign.seed, days=campaign.days):
+    fitted = model(campaign, cfg)
+    with span("reliability.validate", model=model.__name__,
+              seed=campaign.seed, days=campaign.days):
         plan = campaign.generate()
-        report = run_support_scenario(cfg, plan)
-        result = compare_report(model, report, confidence, plan=plan)
-    _export_deltas(result)
-    return result, report
-
-
-# ---------------------------------------------------------------------------
-# Coverage validation (the sensing-level counterpart)
-# ---------------------------------------------------------------------------
-
-
-def compare_quality_report(
-    model: CoverageModel,
-    report: DataQualityReport,
-    confidence: float = DEFAULT_CONFIDENCE,
-    plan: Optional[FaultPlan] = None,
-) -> ValidationResult:
-    """Check a measured DataQualityReport against the coverage model.
-
-    Every coverage number the report carries is compared: the verdict
-    counts, the coverage fraction, per-channel masked frames, per-kind
-    repair counts.  Channels or repair kinds the model does not predict
-    get a degenerate ``[0, 0]`` band, so an unmodeled gate response is a
-    failed check, not a silent gap.  With the generated ``plan``, the
-    dead-beacon-day count (a pure function of the plan) and the per-kind
-    event draws are checked too.
-    """
-    prediction = model.predict(confidence)
-    checks: list[ValidationCheck] = []
-
-    exact_days = Band(
-        mean=float(prediction.badge_days),
-        lo=float(prediction.badge_days),
-        hi=float(prediction.badge_days),
-    )
-    value = float(len(report.verdicts))
-    checks.append(ValidationCheck(
-        metric="badge_days", empirical=value,
-        band=exact_days, inside=exact_days.contains(value),
-    ))
-
-    coverage = report.coverage()
-    checks.append(ValidationCheck(
-        metric="coverage", empirical=coverage,
-        band=prediction.coverage,
-        inside=prediction.coverage.contains(coverage),
-    ))
-    for name, value, band in (
-        ("verdicts[ok]", float(report.n_ok), prediction.n_ok),
-        ("verdicts[repaired]", float(report.n_repaired), prediction.n_repaired),
-        ("verdicts[quarantined]", float(report.n_quarantined),
-         prediction.n_quarantined),
-    ):
-        checks.append(ValidationCheck(
-            metric=name, empirical=value, band=band,
-            inside=band.contains(value),
-        ))
-
-    zero = Band(mean=0.0, lo=0.0, hi=0.0)
-    masked = report.masked_by_channel()
-    for channel in sorted(set(prediction.masked_channels) | set(masked)):
-        band = prediction.masked_channels.get(channel, zero)
-        value = float(masked.get(channel, 0))
-        checks.append(ValidationCheck(
-            metric=f"masked[{channel}]", empirical=value, band=band,
-            inside=band.contains(value),
-        ))
-    repairs = report.repairs_total()
-    for kind in sorted(set(prediction.repairs) | set(repairs)):
-        band = prediction.repairs.get(kind, zero)
-        value = float(repairs.get(kind, 0))
-        checks.append(ValidationCheck(
-            metric=f"repairs[{kind}]", empirical=value, band=band,
-            inside=band.contains(value),
-        ))
-
-    if plan is not None:
-        if prediction.dead_beacon_days is not None:
-            cfg = model.cfg
-            dead = float(sum(
-                len(plan.dead_beacons_on_day(
-                    day, cfg.daytime_start_s, cfg.daytime_s
-                ))
-                for day in model.instrumented_days
-            ))
-            band = prediction.dead_beacon_days
-            checks.append(ValidationCheck(
-                metric="dead_beacon_days", empirical=dead, band=band,
-                inside=band.contains(dead),
-            ))
-        checks.extend(_event_count_checks(model.campaign, plan, confidence))
-
-    return ValidationResult(
-        campaign_seed=model.campaign.seed,
-        horizon_s=model.horizon_s,
-        confidence=confidence,
-        checks=tuple(checks),
-    )
-
-
-def validate_coverage_campaign(
-    campaign: FaultCampaign,
-    cfg: Optional[MissionConfig] = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> tuple[ValidationResult, DataQualityReport]:
-    """Run ``campaign`` through a gated mission and grade the coverage.
-
-    The empirical side is the real thing end to end: the campaign's
-    generated plan corrupts the assembled mission dataset, the quality
-    gate judges every badge-day, and the resulting
-    :class:`DataQualityReport` is checked number-by-number against the
-    analytic :class:`CoverageModel` bands.
-    """
-    if cfg is None:
-        cfg = default_coverage_config(campaign)
-    model = CoverageModel(campaign, cfg)
-    with span("reliability.validate_coverage", seed=campaign.seed,
-              days=campaign.days):
-        plan = campaign.generate()
-        mission_cfg = dataclasses.replace(cfg, fault_plan=plan)
-        # Local import: the mission stack is heavy and only the coverage
-        # harness needs it.
-        from repro.experiments.mission import run_mission
-
-        mission = run_mission(mission_cfg, quality="gate")
-        report = mission.quality
-        result = compare_quality_report(model, report, confidence, plan=plan)
+        report = fitted.measure(plan)
+        result = fitted.compare(report, confidence, plan=plan)
     _export_deltas(result)
     return result, report

@@ -55,34 +55,46 @@ class Replica(Node):
         #: (sim_time, "take-over" | "yield") role changes, in order.
         self.transitions: list[tuple[float, str]] = []
         self._tasks: list = []
+        self._stopped = False
 
     def start(self) -> None:
         """Begin heartbeating and monitoring the peer."""
+        self._stopped = False
         self.last_peer_heartbeat = self.sim.now
         self._start_tasks()
 
     def stop(self) -> None:
-        """Cancel the periodic protocol tasks (scenario teardown)."""
+        """Cancel the periodic protocol tasks for good (scenario teardown).
+
+        A crash that outlasts the teardown still recovers during the
+        drain that follows; the stopped replica must not restart its
+        heartbeat then, or the drained queue never empties.
+        """
+        self._stopped = True
+        self._cancel_tasks()
+
+    def _cancel_tasks(self) -> None:
         for task in self._tasks:
             task.cancel()
         self._tasks = []
 
     def _start_tasks(self) -> None:
-        self.stop()
+        self._cancel_tasks()
         self._tasks = [
             self.every(self.heartbeat_s, self._heartbeat),
             self.every(self.heartbeat_s, self._check_primary),
         ]
 
     def on_crash(self) -> None:
-        self.stop()
+        self._cancel_tasks()
 
     def on_recover(self) -> None:
         # Reset the heartbeat clock BEFORE the monitor restarts: comparing
         # against the pre-crash timestamp would (wrongly) declare the peer
         # dead on the very first check.
         self.last_peer_heartbeat = self.sim.now
-        self._start_tasks()
+        if not self._stopped:
+            self._start_tasks()
         self.send(self.peer, "sync_request")
 
     # -- client API --------------------------------------------------------

@@ -187,6 +187,19 @@ class TestScenario:
         assert one.pending == 0
         assert one.bus_sent == one.bus_delivered + one.bus_dropped
 
+    def test_crash_straddling_horizon_drains(self):
+        """svc-a goes down an hour before the horizon and recovers an hour
+        after it, during the drain: the run ends, the outage censored."""
+        cfg = MissionConfig(days=2, seed=5)
+        plan = FaultPlan.build(FaultEvent(
+            time_s=2 * 86400.0 - 3600.0, action="crash", target="svc-a",
+            duration_s=7200.0))
+        report = run_support_scenario(cfg, plan)
+        assert report.pending == 0
+        assert report.bus_sent == report.bus_delivered + report.bus_dropped
+        assert (report.n_outages, report.n_censored_outages) == (0, 1)
+        assert report.availability["svc-a"] == pytest.approx(1.0 - 3600.0 / (2 * 86400.0))
+
     def test_scenario_report_text(self):
         cfg = MissionConfig(days=2, seed=5)
         plan = FaultPlan.build(

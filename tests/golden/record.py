@@ -35,7 +35,8 @@ import numpy as np
 from repro.core.config import MissionConfig
 from repro.exec import hashing
 from repro.faults.campaign import FaultCampaign
-from repro.reliability.search import sweep_coverage_regimes, sweep_regimes
+from repro.reliability.coverage import CoverageModel
+from repro.reliability.search import sweep_regimes
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
@@ -94,8 +95,8 @@ def sweep_digests() -> dict[str, str]:
     out: dict[str, str] = {}
     sweeps = {
         "ctmc": sweep_regimes(n_regimes=SWEEP_REGIMES, seed=SWEEP_SEED, top_k=3),
-        "coverage": sweep_coverage_regimes(
-            n_regimes=SWEEP_REGIMES, seed=SWEEP_SEED, top_k=3),
+        "coverage": sweep_regimes(n_regimes=SWEEP_REGIMES, seed=SWEEP_SEED,
+                                  top_k=3, model=CoverageModel),
     }
     for kind, regimes in sweeps.items():
         for regime in regimes:

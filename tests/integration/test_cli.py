@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -142,18 +147,31 @@ class TestFaultsCli:
         assert set(json.loads(tail)) == {"0", "1"}
 
 
+#: ``--coverage`` or not: (extra args, text header, a key of the JSON
+#: prediction and one entry under it, artifact file prefix).
+RELIABILITY_MODELS = pytest.mark.parametrize(
+    "model_args, header, key, prefix", [
+        ([], "CTMC reliability prediction", ("availability", "relay"), "regime"),
+        (["--coverage"], "coverage prediction", ("coverage", "mean"),
+         "coverage-regime"),
+    ], ids=["ctmc", "coverage"])
+
+
 class TestReliabilityCli:
-    def test_predict_prints_bands_and_json(self, capsys):
+    @RELIABILITY_MODELS
+    @pytest.mark.parametrize("days", ["3", "1"])
+    def test_predict_prints_bands_and_json(self, capsys, model_args, header,
+                                           key, prefix, days):
         import json
 
-        args = ["reliability", "predict", "--days", "3",
+        args = ["reliability", "predict", *model_args, "--days", days,
                 "--campaign-seed", "0", "--json"]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "CTMC reliability prediction" in out
+        assert header in out
         payload = json.loads(out[out.index("\n{"):])
         assert payload["confidence"] == 0.998
-        assert "relay" in payload["availability"]
+        assert key[1] in payload[key[0]]
 
     def test_validate_reference_campaign_passes(self, capsys):
         args = ["reliability", "validate", "--days", "2", "--campaign-seed", "0"]
@@ -162,18 +180,36 @@ class TestReliabilityCli:
         assert "model validation" in out and "PASS" in out
         assert "fault campaign over" in out  # the empirical report too
 
-    def test_search_emits_ranked_regimes(self, capsys, tmp_path):
+    @RELIABILITY_MODELS
+    @pytest.mark.parametrize("days", ["2", "1"])
+    def test_search_emits_ranked_regimes(self, capsys, tmp_path, model_args,
+                                         header, key, prefix, days):
         import json
 
         out_dir = tmp_path / "regimes"
-        args = ["reliability", "search", "--days", "2", "--regimes", "8",
-                "--top", "2", "--out", str(out_dir), "--json"]
+        args = ["reliability", "search", *model_args, "--days", days,
+                "--regimes", "8", "--top", "2", "--out", str(out_dir), "--json"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "predicted-worst" in out
         for rank in (1, 2):
-            payload = json.loads((out_dir / f"regime-{rank}.json").read_text())
+            payload = json.loads((out_dir / f"{prefix}-{rank}.json").read_text())
             assert payload["regime"]["rank"] == rank
             assert "prediction" in payload
         regimes = json.loads(out[out.rindex("\n["):])
         assert [r["rank"] for r in regimes] == [1, 2]
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_quietly(self):
+        """``repro ... | head``: no BrokenPipeError traceback, exit 1."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "reliability", "predict",
+             "--days", "14", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 1

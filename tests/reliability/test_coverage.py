@@ -19,11 +19,9 @@ import pytest
 from repro.faults.campaign import FaultCampaign
 from repro.reliability import (
     CoverageModel,
-    compare_quality_report,
-    default_coverage_config,
     expected_event_counts,
-    sweep_coverage_regimes,
-    validate_coverage_campaign,
+    sweep_regimes,
+    validate_campaign,
 )
 
 
@@ -35,7 +33,7 @@ class TestReferenceCampaigns:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_coverage_campaign_inside_bands(self, seed):
         campaign = _campaign(seed)
-        result, report = validate_coverage_campaign(campaign)
+        result, report = validate_campaign(campaign, model=CoverageModel)
         assert result.all_inside, "\n" + result.to_text()
         # The comparison is substantive: the headline coverage metric,
         # every verdict count, the localizer's dead beacon columns, and
@@ -53,9 +51,9 @@ class TestReferenceCampaigns:
     def test_validation_byte_reproducible(self):
         campaign = _campaign(0)
         first = json.dumps(
-            validate_coverage_campaign(campaign)[0].to_dict(), sort_keys=True)
+            validate_campaign(campaign, model=CoverageModel)[0].to_dict(), sort_keys=True)
         second = json.dumps(
-            validate_coverage_campaign(campaign)[0].to_dict(), sort_keys=True)
+            validate_campaign(campaign, model=CoverageModel)[0].to_dict(), sort_keys=True)
         assert first == second
 
 
@@ -63,7 +61,7 @@ class TestCompareQualityReport:
     def test_clean_report_fails_heavy_model(self):
         """A model expecting heavy corruption flags a clean mission."""
         light = _campaign(0, days=3)
-        _, report = validate_coverage_campaign(light)
+        _, report = validate_campaign(light, model=CoverageModel)
         heavy = FaultCampaign(
             seed=0, horizon_s=light.horizon_s, n_beacons=0,
             badge_ids=light.badge_ids,
@@ -71,13 +69,13 @@ class TestCompareQualityReport:
             lossy_windows_per_day=0.0, blackouts_per_day=0.0,
             bitrot_days=40, truncated_days=40,
         )
-        result = compare_quality_report(
-            CoverageModel(heavy, default_coverage_config(heavy)), report)
+        result = CoverageModel(
+            heavy, CoverageModel.default_config(heavy)).compare(report)
         assert not result.all_inside
 
     def test_result_text_and_dict_agree(self):
         campaign = _campaign(1, days=3)
-        result, _ = validate_coverage_campaign(campaign)
+        result, _ = validate_campaign(campaign, model=CoverageModel)
         text = result.to_text()
         assert ("PASS" in text) == result.all_inside
         data = result.to_dict()
@@ -148,12 +146,12 @@ class TestCoverageModel:
 
 class TestCoverageSweep:
     def test_sweep_is_deterministic(self):
-        first = sweep_coverage_regimes(n_regimes=16, seed=3, top_k=3)
-        second = sweep_coverage_regimes(n_regimes=16, seed=3, top_k=3)
+        first = sweep_regimes(n_regimes=16, seed=3, top_k=3, model=CoverageModel)
+        second = sweep_regimes(n_regimes=16, seed=3, top_k=3, model=CoverageModel)
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
     def test_sweep_ranks_by_badness(self):
-        regimes = sweep_coverage_regimes(n_regimes=16, seed=3, top_k=3)
+        regimes = sweep_regimes(n_regimes=16, seed=3, top_k=3, model=CoverageModel)
         assert len(regimes) == 3
         assert [r.rank for r in regimes] == [1, 2, 3]
         scores = [r.score for r in regimes]

@@ -10,10 +10,7 @@ their validation verdicts) are deterministic.
 import pytest
 
 from repro.faults.campaign import FaultCampaign
-from repro.reliability import (
-    validate_coverage_campaign,
-    worst_coverage_campaigns,
-)
+from repro.reliability import CoverageModel, sweep_regimes, validate_campaign
 
 pytestmark = pytest.mark.tier2
 
@@ -22,7 +19,8 @@ class TestWorstCoverageRegimesEmpirically:
     @pytest.fixture(scope="class")
     def campaigns(self):
         base = FaultCampaign.coverage_reference(days=7, seed=0)
-        return worst_coverage_campaigns(base, k=3, n_regimes=64, seed=0)
+        return [r.campaign for r in sweep_regimes(
+            base, n_regimes=64, seed=0, top_k=3, model=CoverageModel)]
 
     def test_emits_three_regimes(self, campaigns):
         assert len(campaigns) == 3
@@ -36,7 +34,7 @@ class TestWorstCoverageRegimesEmpirically:
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_regime_survives_and_validates(self, campaigns, index):
         campaign = campaigns[index]
-        result, report = validate_coverage_campaign(campaign)
+        result, report = validate_campaign(campaign, model=CoverageModel)
         # The regime genuinely dirties the dataset...
         assert report.n_repaired + report.n_quarantined > 0
         # ...the gate serves a legal report under it...

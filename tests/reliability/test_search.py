@@ -6,11 +6,8 @@ import pytest
 
 from repro.core.errors import ConfigError
 from repro.faults.campaign import FaultCampaign
-from repro.reliability.search import (
-    SWEPT_FIELDS,
-    sweep_regimes,
-    worst_case_campaigns,
-)
+from repro.reliability.model import ReliabilityModel
+from repro.reliability.search import sweep_regimes
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +30,7 @@ class TestSweep:
 
     def test_overrides_within_sampled_ranges(self, base):
         for regime in sweep_regimes(base, n_regimes=16, seed=1, top_k=16):
-            for name, (lo, hi) in SWEPT_FIELDS.items():
+            for name, (lo, hi) in ReliabilityModel.swept_rates.items():
                 value = regime.overrides[name]
                 baseline = float(getattr(base, name))
                 assert lo * baseline <= value <= hi * baseline
@@ -62,7 +59,8 @@ class TestSweep:
 
 class TestWorstCase:
     def test_emits_k_runnable_campaigns(self, base):
-        campaigns = worst_case_campaigns(base, k=3, n_regimes=16, seed=0)
+        campaigns = [r.campaign for r in sweep_regimes(
+            base, n_regimes=16, seed=0, top_k=3)]
         assert len(campaigns) == 3
         for campaign in campaigns:
             plan = campaign.generate()

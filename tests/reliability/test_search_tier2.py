@@ -9,7 +9,7 @@ the runs (and their validation verdicts) are deterministic.
 import pytest
 
 from repro.faults.campaign import FaultCampaign
-from repro.reliability import validate_campaign, worst_case_campaigns
+from repro.reliability import sweep_regimes, validate_campaign
 
 pytestmark = pytest.mark.tier2
 
@@ -18,7 +18,8 @@ class TestWorstCaseRegimesEmpirically:
     @pytest.fixture(scope="class")
     def campaigns(self):
         base = FaultCampaign.reference(days=3, seed=0)
-        return worst_case_campaigns(base, k=3, n_regimes=32, seed=0)
+        return [r.campaign for r in sweep_regimes(
+            base, n_regimes=32, seed=0, top_k=3)]
 
     def test_emits_three_regimes(self, campaigns):
         assert len(campaigns) == 3

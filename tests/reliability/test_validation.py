@@ -16,11 +16,7 @@ import pytest
 
 from repro import obs
 from repro.faults.campaign import FaultCampaign
-from repro.reliability import (
-    ReliabilityModel,
-    compare_report,
-    validate_campaign,
-)
+from repro.reliability import ReliabilityModel, validate_campaign
 from repro.reliability.prediction import Band, ValidationCheck, ValidationResult
 
 
@@ -53,7 +49,7 @@ class TestCompareReport:
         model = ReliabilityModel(campaign)
         _, report = validate_campaign(campaign)
         report.availability["relay"] = 0.2  # far below any plausible band
-        result = compare_report(model, report)
+        result = model.compare(report)
         assert not result.all_inside
         outside = {c.metric for c in result.checks if not c.inside}
         assert "availability[relay]" in outside

@@ -126,6 +126,21 @@ class TestRecovery:
         sim.run_until(30.0)
         assert [what for _, what in svc.backup.transitions] == ["take-over", "yield"]
 
+    def test_stopped_replica_stays_stopped_through_recovery(self, service):
+        """Teardown stops both replicas and drains the queue; a crash that
+        outlasts the teardown recovers during that drain.  Restarting the
+        heartbeat then would keep the drain from ever ending."""
+        sim, net, svc = service
+        sim.run_until(5.0)
+        svc.primary.stop()
+        svc.backup.stop()
+        net.crash("svc-a")
+        net.recover("svc-a")
+        for _ in range(1000):
+            if not sim.step():
+                break
+        assert sim.pending() == 0
+
     def test_state_syncs_after_recovery(self, service):
         sim, net, svc = service
         svc.submit("u1")
