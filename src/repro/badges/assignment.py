@@ -80,27 +80,3 @@ class BadgeAssignment:
             if mapping.get(a_badge) == "A" and mapping.get(b_badge) == "B":
                 mapping[a_badge], mapping[b_badge] = "B", "A"
         return mapping
-
-    def wearer_days(self, badge_id: int) -> dict[int, str]:
-        """Per-day wearer of one badge across the instrumented mission."""
-        out: dict[int, str] = {}
-        for day in self.cfg.instrumented_days:
-            wearer = self.actual(day).get(badge_id)
-            if wearer is not None:
-                out[day] = wearer
-        return out
-
-    def mislabeled_days(self) -> dict[int, dict[int, str]]:
-        """Days where the assumed mapping is wrong: day -> {badge: actual}."""
-        out: dict[int, dict[int, str]] = {}
-        assumed = self.assumed()
-        for day in self.cfg.instrumented_days:
-            actual = self.actual(day)
-            wrong = {
-                badge: astro
-                for badge, astro in actual.items()
-                if assumed.get(badge) != astro
-            }
-            if wrong:
-                out[day] = wrong
-        return out

@@ -69,10 +69,6 @@ class MartianClock:
         """In-sol offset (0 .. sol_length) of a terrestrial timestamp."""
         return (absolute_s + self.epoch_offset_s) % self.sol_length_s
 
-    def daily_shift_s(self) -> float:
-        """How much later (in Earth seconds) Martian midnight falls each sol."""
-        return self.sol_length_s - EARTH_DAY_S
-
 
 @dataclass
 class ClockModel:
@@ -88,10 +84,6 @@ class ClockModel:
     def local_time(self, true_time_s: float) -> float:
         """Device-local timestamp for a true mission timestamp."""
         return self.offset_s + true_time_s * (1.0 + self.drift_ppm * 1e-6)
-
-    def true_time(self, local_time_s: float) -> float:
-        """Invert :meth:`local_time`."""
-        return (local_time_s - self.offset_s) / (1.0 + self.drift_ppm * 1e-6)
 
     def error_at(self, true_time_s: float) -> float:
         """Absolute clock error (local - true) at a true timestamp."""

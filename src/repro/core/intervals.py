@@ -181,15 +181,6 @@ class IntervalSet:
         """Restrict to the window ``[lo, hi)``."""
         return self.intersect(IntervalSet.single(lo, hi))
 
-    def filter_min_duration(self, min_duration: float) -> "IntervalSet":
-        """Drop intervals shorter than ``min_duration``.
-
-        This is the primitive behind the paper's 10-second minimum-stay
-        rule for room transitions.
-        """
-        keep = (self._ends - self._starts) >= min_duration
-        return IntervalSet(zip(self._starts[keep], self._ends[keep]))
-
     def shift(self, offset: float) -> "IntervalSet":
         """Translate every interval by ``offset`` seconds."""
         return IntervalSet(zip(self._starts + offset, self._ends + offset))

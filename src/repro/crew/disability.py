@@ -101,16 +101,3 @@ class AccessibilityAudit:
             if adaptations:
                 audit.findings[profile.astro_id] = adaptations
         return audit
-
-    def badge_swap_risk(self) -> list[str]:
-        """Crew members at risk of misidentifying badges.
-
-        A badge whose only identification is a visual display is
-        unusable to a visually impaired crew member — precisely how
-        A and B's badges got swapped for a day.
-        """
-        return [
-            astro
-            for astro, adaptations in self.findings.items()
-            if any(a.device == "e-ink id display" for a in adaptations)
-        ]

@@ -97,12 +97,3 @@ class MissionTruth:
     def days(self) -> list[int]:
         """Simulated days, sorted."""
         return sorted({day for _, day in self.traces})
-
-    def room_matrix(self, day: int) -> np.ndarray:
-        """``(crew, frames)`` int8 matrix of ground-truth rooms on a day."""
-        rows = [self.trace(astro, day).room for astro in self.roster.ids]
-        return np.vstack(rows)
-
-    def events_on(self, day: int, kind: str | None = None) -> list[EventRecord]:
-        """Events recorded on a day, optionally filtered by kind."""
-        return [e for e in self.events if e.day == day and (kind is None or e.kind == kind)]

@@ -125,11 +125,3 @@ class FaultInjector:
             self.network.sim.schedule(event.duration_s, self.earth_link.restore)
 
     # -- reliability inputs ----------------------------------------------
-
-    def closed_downtime(self, horizon_s: float) -> dict[str, list[tuple[float, float]]]:
-        """Downtime intervals with still-open outages closed at the horizon."""
-        return {
-            node: [(start, end if end is not None else horizon_s)
-                   for start, end in intervals]
-            for node, intervals in self.downtime.items()
-        }

@@ -13,7 +13,7 @@ config (including seed) always reproduces the same faulted mission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
 from repro.core.units import DAY
@@ -247,11 +247,3 @@ class FaultPlan:
             if event.action == "sdcard-cap":
                 caps[event.badge_id()] = event.value
         return caps
-
-    def faulted_badges(self) -> frozenset[int]:
-        """Badges targeted by any sensing-level fault."""
-        out: set[int] = set()
-        for event in self.events:
-            if event.action in ("badge-battery", "sdcard-cap"):
-                out.add(event.badge_id())
-        return frozenset(out)

@@ -97,21 +97,25 @@ def run_support_scenario(cfg: MissionConfig, plan: FaultPlan) -> ReliabilityRepo
 
     with span("faults.scenario", days=cfg.days, events=len(plan.events)):
         sim.run_until(horizon)
+        # The primaries live at the horizon: a replica that recovers
+        # during the drain below never hears its peer's take-over.
+        primaries = [r.name for r in (service.primary, service.backup)
+                     if r.is_primary and not r.crashed]
         # Stop the heartbeat loops, then drain in-flight retries/acks so
         # every reliable message resolves to acked or dead-lettered.
         service.primary.stop()
         service.backup.stop()
         sim.run()
 
-    return _build_report(cfg, horizon, network, service, injector)
+    return _build_report(horizon, network, service, injector, primaries)
 
 
 def _build_report(
-    cfg: MissionConfig,
     horizon: float,
     network: Network,
     service: ReplicatedService,
     injector: FaultInjector,
+    primaries: list[str],
 ) -> ReliabilityReport:
     delivery, totals, duplicates, dead_letters, pending = aggregate_delivery(network)
     # Raw intervals, open ends intact: outages that never repaired within
@@ -126,8 +130,6 @@ def _build_report(
          for t, what in replica.transitions],
         key=lambda item: (item[0], item[1]),
     )
-    primaries = [r.name for r in (service.primary, service.backup)
-                 if r.is_primary and not r.crashed]
     return ReliabilityReport(
         horizon_s=horizon,
         availability=availability,

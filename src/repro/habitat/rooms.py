@@ -73,7 +73,3 @@ class Room:
             if other in door.connects:
                 return door
         raise ConfigError(f"no door between {self.name!r} and {other!r}")
-
-    def connects_to(self, other: str) -> bool:
-        """Whether a door directly connects this room to ``other``."""
-        return any(other in door.connects for door in self.doors)

@@ -2,7 +2,7 @@
 
 RSSI smoothing, strongest-beacon room detection (perfect in the shielded
 habitat, modulo doorway leakage), weighted-centroid trilateration with
-an optional Gauss-Newton refinement, 1-second dominant-position frames,
+a Gauss-Newton range refinement, 1-second dominant-position frames,
 and the 28 cm heatmap grids of the paper's Figure 3.
 """
 

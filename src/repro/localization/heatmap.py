@@ -59,19 +59,6 @@ class Heatmap:
         """``log10(1 + seconds)`` — the paper's logarithmic scale."""
         return np.log10(1.0 + self.counts)
 
-    def time_at(self, x: float, y: float) -> float:
-        """Accumulated seconds in the cell containing ``(x, y)``."""
-        ix = int((x - self.bounds.x0) / self.cell_m)
-        iy = int((y - self.bounds.y0) / self.cell_m)
-        ny, nx = self.counts.shape
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            return 0.0
-        return float(self.counts[iy, ix])
-
-    def occupied_cells(self) -> int:
-        """Number of cells with any accumulated time."""
-        return int((self.counts > 0).sum())
-
     def center_vs_corner_ratio(self, room: Rect) -> float:
         """Ratio of time in a room's central half vs its corner band.
 

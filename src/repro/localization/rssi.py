@@ -28,26 +28,27 @@ def boxcar_smooth(rssi: np.ndarray, window: int = 5) -> np.ndarray:
     if window == 1 or rssi.shape[0] == 0:
         return rssi.copy()
     n = rssi.shape[0]
-    half = window // 2
+    half = min(window // 2, n)  # offsets past the last frame add nothing
     finite = np.isfinite(rssi)
     values = np.where(finite, rssi, rssi.dtype.type(0))
-    counts_f = finite.astype(rssi.dtype)
+    ones = finite.view(np.uint8)  # bools are 0/1 bytes: count without a cast
     # Shifted in-place accumulation: one aligned add per window offset
     # (edges clip naturally), which beats a cumulative-sum formulation
     # because axis-0 cumsum strides column-wise through the matrix.  The
     # few-term sums also stay accurate in float32, so the input dtype is
-    # preserved end to end.
+    # preserved end to end.  Finite samples are counted in the smallest
+    # unsigned type that holds ``window``; small integers convert to
+    # float exactly, so the division is the float one, bit for bit.
     sums = np.zeros_like(values)
-    counts = np.zeros_like(values)
+    counts = np.zeros(values.shape, dtype=np.min_scalar_type(window))
     for off in range(-half, half + 1):
         dst = slice(max(0, -off), n - max(0, off))
         src = slice(max(0, off), n - max(0, -off))
         sums[dst] += values[src]
-        counts[dst] += counts_f[src]
+        counts[dst] += ones[src]
     # Empty windows divide 0/0 and land on NaN directly — no fill pass.
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = sums / counts
-    return out
+        return np.divide(sums, counts, dtype=rssi.dtype)
 
 
 def strongest_beacon(rssi: np.ndarray) -> np.ndarray:

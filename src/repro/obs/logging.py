@@ -107,9 +107,6 @@ class LogBuffer:
     def matching(self, event_substring: str) -> list[LogRecord]:
         return [r for r in self.records if event_substring in r.event]
 
-    def at_level(self, level: str) -> list[LogRecord]:
-        return [r for r in self.records if r.level == level]
-
     def reset(self) -> None:
         self.records.clear()
         self.min_level = "debug"

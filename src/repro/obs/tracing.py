@@ -139,9 +139,6 @@ class SpanCollector:
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def children_of(self, parent: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == parent.span_id]
-
     def roots(self) -> list[Span]:
         ids = {s.span_id for s in self.spans}
         return [s for s in self.spans if s.parent_id not in ids]

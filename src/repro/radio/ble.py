@@ -95,7 +95,9 @@ class BleScanModel:
             det = self.propagation.received_dbm_matrix(
                 plan, tx_power, tx_xy, tx_rooms, xy[first], rooms[first]
             ).astype(np.float32)
-            vals = np.ascontiguousarray(det.T[:, inverse])  # (beacons, frames)
+            # (beacons, frames), gathered from a C-ordered copy: ``vals``
+            # stays C-ordered for the add and the scatter below.
+            vals = np.take(np.ascontiguousarray(det.T), inverse, axis=1)
             if sigma > 0:
                 shadow = rng.standard_normal(size=(n_beacons, m), dtype=np.float32)
                 np.multiply(shadow, sigma, out=shadow)

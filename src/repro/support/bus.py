@@ -199,12 +199,6 @@ class Network:
         latency = self._link_latency.get((message.src, message.dst), self.default_latency_s)
         self.sim.schedule(latency, self._deliver, message, latency)
 
-    def broadcast(self, src: str, kind: str, payload: Any = None) -> None:
-        """Send to every other registered node."""
-        for name in self._nodes:
-            if name != src:
-                self.send(Message(src=src, dst=name, kind=kind, payload=payload))
-
     def _deliver(self, message: Message, latency: float = 0.0) -> None:
         if message.dst in self._down_nodes:
             self._drop(message, "dst-crashed")

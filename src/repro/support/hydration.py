@@ -11,7 +11,7 @@ when an astronaut's balance dips below threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.engine import Simulator
 from repro.core.errors import ConfigError
@@ -85,12 +85,6 @@ class HydrationTracker(Node):
             raise ConfigError(f"unknown fluid event kind {event.kind!r}")
         state.events += 1
         self._check(event.astro_id, event.time_s)
-
-    def advance_to(self, time_s: float) -> None:
-        """Account insensible loss up to ``time_s`` for everyone."""
-        for astro in self.states:
-            self._apply_insensible(astro, time_s)
-            self._check(astro, time_s)
 
     # -- internals ------------------------------------------------------------
 

@@ -36,7 +36,7 @@ class TestMartianClock:
         assert MARS_SOL_S > EARTH_DAY_S
 
     def test_daily_shift_is_about_40_minutes(self):
-        shift = MartianClock().daily_shift_s()
+        shift = MartianClock().sol_length_s - EARTH_DAY_S
         assert 39 * 60 < shift < 40 * 60
 
     def test_sol_indexing(self):
@@ -66,11 +66,6 @@ class TestClockModel:
     def test_offset(self):
         clock = ClockModel(offset_s=5.0)
         assert clock.local_time(0.0) == 5.0
-
-    def test_inverse(self):
-        clock = ClockModel(offset_s=3.0, drift_ppm=50.0)
-        t = 123456.0
-        assert clock.true_time(clock.local_time(t)) == pytest.approx(t)
 
     def test_correct_zeroes_error(self):
         clock = ClockModel(offset_s=4.0, drift_ppm=20.0)

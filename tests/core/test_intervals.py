@@ -125,10 +125,6 @@ class TestAlgebra:
         s = IntervalSet([(0.0, 10.0)])
         assert list(s.clip(2.0, 4.0)) == [(2.0, 4.0)]
 
-    def test_filter_min_duration(self):
-        s = IntervalSet([(0.0, 0.5), (1.0, 5.0)])
-        assert list(s.filter_min_duration(1.0)) == [(1.0, 5.0)]
-
     def test_shift(self):
         s = IntervalSet([(1.0, 2.0)]).shift(10.0)
         assert list(s) == [(11.0, 12.0)]

@@ -58,4 +58,4 @@ class TestAudit:
         """The e-ink-only badge id is exactly what caused the A/B swap."""
         roster = icares_roster()
         audit = AccessibilityAudit.run(roster.profiles)
-        assert audit.badge_swap_risk() == ["A"]
+        assert "e-ink id display" in {a.device for a in audit.findings["A"]}

@@ -55,7 +55,10 @@ class TestCrashWindows:
         ))
         sim.run()
         assert injector.downtime["x"] == [(5.0, None)]
-        assert injector.closed_downtime(100.0)["x"] == [(5.0, 100.0)]
+        availability, _, n_outages, n_censored = availability_from_downtime(
+            injector.downtime, network.nodes(), 100.0)
+        assert availability["x"] == pytest.approx(0.05)
+        assert (n_outages, n_censored) == (0, 1)
 
     def test_unknown_node_skipped(self, stack):
         sim, network = stack
@@ -199,6 +202,15 @@ class TestScenario:
         assert report.bus_sent == report.bus_delivered + report.bus_dropped
         assert (report.n_outages, report.n_censored_outages) == (0, 1)
         assert report.availability["svc-a"] == pytest.approx(1.0 - 3600.0 / (2 * 86400.0))
+
+    def test_primary_at_end_is_read_at_the_horizon(self):
+        """Campaign seed 215 leaves svc-a down at the horizon, with svc-b
+        the one primary.  svc-a recovers during the drain, never hears
+        the take-over, and must not count as a second primary."""
+        plan = FaultCampaign.reference(days=3, seed=215).generate()
+        report = run_support_scenario(MissionConfig(days=3), plan)
+        assert report.primary_at_end == "svc-b"
+        assert report.split_brain_at_end is False
 
     def test_scenario_report_text(self):
         cfg = MissionConfig(days=2, seed=5)

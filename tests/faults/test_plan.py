@@ -143,7 +143,7 @@ class TestSensingQueries:
             FaultEvent(time_s=5.0, action="badge-battery", target="3"),
         )
         assert plan.sdcard_caps() == {2: 1e6}
-        assert plan.faulted_badges() == {2, 3}
+        assert {event.badge_id() for event in plan.sensing_events()} == {2, 3}
 
 
 class TestMissionConfigIntegration:

@@ -3,8 +3,9 @@
 Data pins behaviour, not a second implementation: ``golden.json`` holds
 a digest of every crew-truth array of every astronaut-day, every
 per-badge-day summary field, every pairwise array, the SD-card total,
-the cache fingerprints and ``SCHEMA_VERSION`` of two missions, plus the
-top-3 regimes of both reliability sweeps.  The test
+the cache fingerprints and ``SCHEMA_VERSION`` of two missions, the
+top-3 regimes of both reliability sweeps, and the position solve on a
+synthetic input for each of 1-5 beacons per room.  The test
 beside this module recomputes them; an output may change only together
 with a ``SCHEMA_VERSION`` bump and a re-recording.
 
@@ -35,6 +36,7 @@ import numpy as np
 from repro.core.config import MissionConfig
 from repro.exec import hashing
 from repro.faults.campaign import FaultCampaign
+from repro.localization.trilateration import localize_rooms
 from repro.reliability.coverage import CoverageModel
 from repro.reliability.search import sweep_regimes
 
@@ -55,6 +57,11 @@ TRUTH_FIELDS = (
 #: Sweep seed and size of the golden top-3 regimes (default bases).
 SWEEP_SEED = 0
 SWEEP_REGIMES = 64
+
+#: Beacons per room of the pinned position solves.  The shipped
+#: deployments have 1-3 (12 and 27 beacons); 4 and 5 take the solve's
+#: frame-major reductions.
+SOLVE_BEACONS = (1, 2, 3, 4, 5)
 
 
 def _digest_value(value) -> str:
@@ -108,6 +115,41 @@ def sweep_digests() -> dict[str, str]:
     return out
 
 
+def solve_input(k: int) -> tuple[np.ndarray, ...]:
+    """A seeded ``localize_rooms`` input: 3 rooms of ``k`` beacons, 25% NaN
+    cells, unknown rows and rows in room 3, which has no beacons."""
+    rng = np.random.default_rng(k)
+    frames, n_rooms = 2000, 3
+    beacon_room = np.repeat(np.arange(n_rooms), k)
+    beacon_xy = np.column_stack([
+        5.0 * beacon_room + rng.uniform(0.0, 4.0, beacon_room.size),
+        rng.uniform(0.0, 4.0, beacon_room.size),
+    ])
+    rooms = rng.integers(-1, n_rooms + 1, size=frames).astype(np.int8)
+    xy = np.column_stack([
+        5.0 * np.clip(rooms, 0, n_rooms - 1) + rng.uniform(0.0, 4.0, frames),
+        rng.uniform(0.0, 4.0, frames),
+    ])
+    dist = np.hypot(xy[:, None, 0] - beacon_xy[None, :, 0],
+                    xy[:, None, 1] - beacon_xy[None, :, 1])
+    rssi = -59.0 - 22.0 * np.log10(np.maximum(dist, 0.1))
+    rssi = (rssi + rng.normal(0.0, 3.0, rssi.shape)).astype(np.float32)
+    rssi[rng.random(rssi.shape) < 0.25] = np.nan
+    return rssi, rooms, beacon_xy, beacon_room
+
+
+def solve_digests() -> dict[str, str]:
+    """``{key: digest}`` of the position solve, per beacons-per-room count,
+    with and without the Gauss-Newton refinement."""
+    out: dict[str, str] = {}
+    for k in SOLVE_BEACONS:
+        args = solve_input(k)
+        for refine in (False, True):
+            out[f"localization/k{k}/refine{int(refine)}"] = _digest_value(
+                localize_rooms(*args, refine=refine))
+    return out
+
+
 def load() -> dict:
     """The checked-in golden file."""
     return json.loads(GOLDEN_PATH.read_text())
@@ -121,6 +163,7 @@ def main() -> int:
     for name, cfg in (("session", SESSION_MISSION), ("faults", FAULTS_MISSION)):
         observed.update(mission_digests(name, run_mission(cfg)))
     observed.update(sweep_digests())
+    observed.update(solve_digests())
 
     accepted: dict[str, list[str]] = load() if GOLDEN_PATH.exists() else {}
     added = 0

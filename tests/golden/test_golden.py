@@ -12,7 +12,13 @@ import pytest
 
 from repro.exec import hashing
 from repro.experiments.mission import run_mission
-from tests.golden.record import FAULTS_MISSION, load, mission_digests, sweep_digests
+from tests.golden.record import (
+    FAULTS_MISSION,
+    load,
+    mission_digests,
+    solve_digests,
+    sweep_digests,
+)
 
 HINT = (
     "outputs may change only with a SCHEMA_VERSION bump "
@@ -101,3 +107,10 @@ class TestSweepGolden:
     @pytest.mark.parametrize("kind", ["ctmc", "coverage"])
     def test_top3_regimes(self, golden, sweeps, kind):
         _check(golden, sweeps, rf"sweep/{kind}/rank\d/\w+")
+
+
+class TestLocalizationGolden:
+    def test_solve(self, golden):
+        """The position solve for 1-5 beacons per room, with and without
+        the refinement, byte for byte."""
+        _check(golden, solve_digests(), r"localization/k\d/refine[01]")

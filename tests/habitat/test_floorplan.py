@@ -33,7 +33,7 @@ class TestLayout:
         for room in plan.rooms:
             if room.name == MAIN_HALL:
                 continue
-            assert room.connects_to(MAIN_HALL)
+            assert MAIN_HALL in room.door_to(MAIN_HALL).connects
 
     def test_restroom_is_badge_prohibited(self, plan):
         assert plan.room("restroom").badge_prohibited

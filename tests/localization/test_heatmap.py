@@ -24,7 +24,7 @@ class TestBasics:
     def test_add_accumulates_time(self, bounds):
         hm = Heatmap.empty(bounds)
         hm.add(np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]), dt=2.0)
-        assert hm.time_at(1.0, 1.0) == 6.0
+        assert hm.counts[3, 3] == 6.0  # the 0.28 m cell holding (1.0, 1.0)
         assert hm.total_seconds() == 6.0
 
     def test_nan_skipped(self, bounds):
@@ -55,7 +55,7 @@ class TestBasics:
 
     def test_occupied_cells(self, bounds):
         hm = build_heatmap(np.array([0.1, 5.0]), np.array([0.1, 2.0]), bounds)
-        assert hm.occupied_cells() == 2
+        assert np.count_nonzero(hm.counts) == 2
 
 
 class TestCenterCornerRatio:

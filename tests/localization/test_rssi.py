@@ -40,6 +40,20 @@ class TestBoxcarSmooth:
         assert np.isnan(out[:3]).all()
         assert (out[3:, 0] == -50.0).all()
 
+    def test_wide_window_counts_do_not_overflow(self):
+        """A window above 255 counts its samples in a wider integer, so a
+        constant signal stays exactly constant."""
+        rssi = np.full((1000, 2), -60.0, dtype=np.float32)
+        out = boxcar_smooth(rssi, window=301)
+        np.testing.assert_array_equal(out, rssi)
+
+    def test_window_wider_than_the_scan(self):
+        """Offsets past the last frame add nothing: every frame averages
+        the whole column."""
+        rssi = np.array([[-60.0], [-70.0], [np.nan]])
+        out = boxcar_smooth(rssi, window=9)
+        np.testing.assert_array_equal(out, np.full((3, 1), -65.0))
+
     def test_window_validation(self):
         with pytest.raises(ConfigError):
             boxcar_smooth(np.zeros((2, 2)), window=0)

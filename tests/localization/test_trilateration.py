@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.localization.trilateration import localize_rooms
+from repro.localization.trilateration import _dot_beacons, _sum_beacons, localize_rooms
 
 SQUARE = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
 
@@ -105,3 +105,19 @@ class TestGaussNewton:
         truth = rng.uniform(0.5, 3.5, size=(2000, 2))
         est = locate(noise_free_rssi(truth, SQUARE), SQUARE, refine=True)
         assert np.hypot(est[:, 0] - truth[:, 0], est[:, 1] - truth[:, 1]).max() < 1e-4
+
+
+class TestBeaconMajorReductions:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_equal_frame_major_bit_for_bit(self, k):
+        """The beacon-major sums equal ``einsum`` and ``sum(axis=1)`` over
+        the frame-major block, signed zeros included."""
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((k, 1000)).astype(np.float32)
+        b = rng.standard_normal((k, 1000)).astype(np.float32)
+        a[rng.random(a.shape) < 0.4] = -0.0
+        b[rng.random(b.shape) < 0.4] = 0.0
+        rows_a, rows_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        assert _sum_beacons(a).tobytes() == rows_a.sum(axis=1).tobytes()
+        assert (_dot_beacons(a, b).tobytes()
+                == np.einsum("ij,ij->i", rows_a, rows_b).tobytes())

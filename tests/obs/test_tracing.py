@@ -30,7 +30,6 @@ class TestSpans:
         (outer,) = tracing.collector.by_name("outer")
         assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
-        assert tracing.collector.children_of(outer) == [inner]
 
     def test_roots(self, on):
         with obs.span("a"):

@@ -51,15 +51,6 @@ class TestDelivery:
         assert ("ping", "x") in b.received
         assert any(m.kind == "pong" for m in a.received)
 
-    def test_broadcast(self, net):
-        sim, network, a, b = net
-        c = Recorder("c", sim)
-        network.register(c)
-        network.broadcast("a", "note")
-        sim.run()
-        assert len(b.received) == 1 and len(c.received) == 1
-        assert not a.received  # no self-delivery
-
     def test_unknown_destination_dropped(self, net):
         sim, network, a, __ = net
         a.send("ghost", "hello")

@@ -30,7 +30,7 @@ class TestBalance:
         assert tracker.balance("A") < -270.0
 
     def test_insensible_loss_over_time(self, tracker):
-        tracker.advance_to(2 * 3600.0)
+        tracker.ingest(FluidEvent(2 * 3600.0, "A", "intake", 0.0))
         assert tracker.balance("A") == pytest.approx(-120.0, rel=0.01)
 
     def test_unknown_astronaut_ignored(self, tracker):
