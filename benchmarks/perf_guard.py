@@ -1,29 +1,27 @@
-"""Day-compute performance regression guard: sensing and crew truth.
+"""Perf-regression guard: every pipeline stage against its own budget.
 
-The fleet-batched sensing API bought a >5x speedup of the per-day hot
-path (``compute_day``: wear + sensor synthesis + localization + summary
-reduction), and scalar draws plus a per-day walk pass bought about 4x
-on crew truth (``simulate_mission``); this guard keeps both.  It
-measures
+The guard reads its stage times from the ``repro.obs`` span tree, the
+same timer ``repro telemetry`` prints, so a regression names the span
+that slowed.  It measures
 
 1. a fixed numpy **calibration workload** (pins the machine's array
    throughput), and
-2. each guarded **stage** on the standard benchmark mission
-   (``MissionConfig(days=2, seed=13, events=None)``), best of 3:
+2. the wall time of each guarded **span** in the telemetry of the
+   benchmark mission (``MissionConfig(days=2, seed=13, events=None)``),
+   least of 3 runs.  The mission instruments only day 2, so one run
+   holds the whole crew truth and one day of sensing and localization,
 
-   * ``day_compute``: the day-compute path of day 2;
-   * ``crew``: ``simulate_mission``, the whole crew truth,
-
-then compares each machine-normalized ratio ``stage / calibration``
-against its checked-in budget (``benchmarks/perf_budget.json``).  A
-stage more than ``headroom`` (25%) over budget exits non-zero with one
-line naming the stage, and every run writes its raw measurements to
-``benchmarks/output/day_compute_guard.json`` for artifact upload and
-cross-run diffing.
+then compares each machine-normalized ratio ``span / calibration``
+against its checked-in budget: ``per_calibration`` in
+``benchmarks/perf_budget.json``, keyed by span name, so guarding one
+more stage is one more budget line.  A stage more than ``headroom``
+(25%) over budget prints one ``PERF REGRESSION: <span> ...`` line on
+stderr and makes the guard exit 1.  The report goes to stdout as JSON;
+the guard writes no file.
 
 Run it directly::
 
-    PYTHONPATH=src python benchmarks/perf_guard.py
+    PYTHONPATH=src python benchmarks/perf_guard.py > perf-guard.json
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 BUDGET_PATH = Path(__file__).parent / "perf_budget.json"
-REPORT_PATH = Path(__file__).parent / "output" / "day_compute_guard.json"
 
 
 def calibration_seconds(rounds: int = 3) -> float:
@@ -61,88 +58,61 @@ def calibration_seconds(rounds: int = 3) -> float:
     return best
 
 
-def _benchmark_mission():
+def stage_seconds(stages, rounds: int = 3) -> dict[str, float]:
+    """Least wall time of each span in ``stages`` over ``rounds`` runs of
+    the benchmark mission, read from its telemetry's span breakdown.
+
+    ``repro`` is imported here, not at module level: perfbench imports
+    :func:`calibration_seconds` in an interpreter without ``src`` on
+    its path.
+    """
+    from repro import obs
     from repro.core.config import MissionConfig
+    from repro.experiments.mission import run_mission
 
-    return MissionConfig(days=2, seed=13, events=None)
-
-
-def day_compute_seconds(rounds: int = 3) -> float:
-    """Best-of-``rounds`` timing of one full instrumented day."""
-    from repro.badges.assignment import BadgeAssignment
-    from repro.badges.pipeline import SensingModels, make_fleet
-    from repro.badges.sdcard import SdCardAccountant
-    from repro.core.rng import RngRegistry
-    from repro.crew.behavior import simulate_mission
-    from repro.exec.executor import compute_day
-    from repro.localization.pipeline import Localizer
-
-    cfg = _benchmark_mission()
-    truth = simulate_mission(cfg)
-    assignment = BadgeAssignment(cfg=cfg, roster=truth.roster)
-    models = SensingModels.default(cfg, truth.plan)
-    localizer = Localizer(truth.plan, models.beacons)
-    best = float("inf")
+    best = dict.fromkeys(stages, float("inf"))
     for _ in range(rounds):
-        rngs = RngRegistry(3)
-        fleet = make_fleet(assignment, rngs)
-        t0 = time.perf_counter()
-        compute_day(
-            cfg, truth, 2, assignment, models, localizer, fleet, rngs,
-            SdCardAccountant(), None,
-        )
-        best = min(best, time.perf_counter() - t0)
+        obs.enable()
+        try:
+            result = run_mission(MissionConfig(days=2, seed=13, events=None))
+        finally:
+            obs.reset()
+        breakdown = result.telemetry["span_breakdown"]
+        for stage in best:
+            if stage not in breakdown:
+                raise LookupError(
+                    f"span {stage} is not in the benchmark mission's span tree")
+            best[stage] = min(best[stage], breakdown[stage]["wall_s"])
     return best
 
 
-def crew_seconds(rounds: int = 3) -> float:
-    """Best-of-``rounds`` timing of the mission's whole crew truth."""
-    from repro.crew.behavior import simulate_mission
-
-    cfg = _benchmark_mission()
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        simulate_mission(cfg)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-#: Guarded stages; each has a ``<stage>_per_calibration`` budget in
-#: ``perf_budget.json``.
-STAGES = {"day_compute": day_compute_seconds, "crew": crew_seconds}
-
-
-def run_guard(rounds: int = 3) -> dict:
-    """Measure, compare every stage against its budget, and write the report."""
-    budget = json.loads(BUDGET_PATH.read_text())
-    calibration_s = calibration_seconds(rounds)
+def judge(seconds: dict[str, float], calibration_s: float, budget: dict) -> dict:
+    """Compare each budgeted stage's ``seconds / calibration_s`` with its
+    budget plus the headroom."""
+    headroom = budget["headroom"]
     stages = {}
-    for stage, seconds_of in STAGES.items():
-        seconds = seconds_of(rounds)
-        ratio = seconds / calibration_s
-        per_calibration = budget[f"{stage}_per_calibration"]
-        limit = per_calibration * (1.0 + budget["headroom"])
+    for stage, per_calibration in budget["per_calibration"].items():
+        ratio = seconds[stage] / calibration_s
+        limit = per_calibration * (1.0 + headroom)
         stages[stage] = {
-            "seconds": round(seconds, 4),
+            "seconds": round(seconds[stage], 4),
             "per_calibration": round(ratio, 3),
             "budget_per_calibration": per_calibration,
             "limit_per_calibration": round(limit, 3),
             "ok": ratio <= limit,
         }
-    report = {
+    return {
         "calibration_s": round(calibration_s, 4),
-        "headroom": budget["headroom"],
+        "headroom": headroom,
         "stages": stages,
         "ok": all(s["ok"] for s in stages.values()),
     }
-    REPORT_PATH.parent.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    return report
 
 
 def main() -> int:
-    report = run_guard()
+    budget = json.loads(BUDGET_PATH.read_text())
+    calibration_s = calibration_seconds()
+    report = judge(stage_seconds(budget["per_calibration"]), calibration_s, budget)
     print(json.dumps(report, indent=2))
     for stage, s in report["stages"].items():
         if not s["ok"]:

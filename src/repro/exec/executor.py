@@ -56,7 +56,7 @@ from repro.crew.trace import MissionTruth
 from repro.faults.plan import FaultPlan
 from repro.localization.pipeline import Localizer
 from repro.obs import _state as _obs
-from repro.obs import get_logger
+from repro.obs import get_logger, span
 
 log = get_logger("repro.exec.executor")
 
@@ -105,30 +105,31 @@ def compute_day(
     workers pass a throwaway accountant and the driver replays the
     returned ``active_seconds`` into the mission-level one.
     """
-    observations, pairwise = sense_day(
-        truth, day, assignment, models, fleet, rngs, sdcard
-    )
-    dead = (
-        plan.dead_beacons_on_day(day, cfg.daytime_start_s, cfg.daytime_s)
-        if plan is not None else frozenset()
-    )
-    outcome = DayOutcome(day=day, pairwise=pairwise)
-    if plan is not None:
-        for obs in observations.values():
-            degrade_day(cfg, plan, obs, sdcard)
-    badge_ids = list(observations)
-    locs = localizer.localize_fleet(
-        [observations[b].ble_rssi for b in badge_ids],
-        [observations[b].active for b in badge_ids],
-        dead_beacons=dead,
-    )
-    for badge_id, loc in zip(badge_ids, locs):
-        obs = observations[badge_id]
-        obs.drop_ble()
-        summary = BadgeDaySummary.from_observations(obs, loc)
-        outcome.summaries[badge_id] = summary
-        outcome.active_seconds[badge_id] = summary.recorded_seconds()
-    return outcome
+    with span("exec.compute_day", day=day):
+        observations, pairwise = sense_day(
+            truth, day, assignment, models, fleet, rngs, sdcard
+        )
+        dead = (
+            plan.dead_beacons_on_day(day, cfg.daytime_start_s, cfg.daytime_s)
+            if plan is not None else frozenset()
+        )
+        outcome = DayOutcome(day=day, pairwise=pairwise)
+        if plan is not None:
+            for obs in observations.values():
+                degrade_day(cfg, plan, obs, sdcard)
+        badge_ids = list(observations)
+        locs = localizer.localize_fleet(
+            [observations[b].ble_rssi for b in badge_ids],
+            [observations[b].active for b in badge_ids],
+            dead_beacons=dead,
+        )
+        for badge_id, loc in zip(badge_ids, locs):
+            obs = observations[badge_id]
+            obs.drop_ble()
+            summary = BadgeDaySummary.from_observations(obs, loc)
+            outcome.summaries[badge_id] = summary
+            outcome.active_seconds[badge_id] = summary.recorded_seconds()
+        return outcome
 
 
 def replay_accounting(outcome: DayOutcome, sdcard: SdCardAccountant) -> None:

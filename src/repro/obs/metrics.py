@@ -162,14 +162,7 @@ class Histogram:
         series = self._series.get(_label_key(labels))
         if series is None or not series.values:
             return math.nan
-        ordered = sorted(series.values)
-        if len(ordered) == 1:
-            return ordered[0]
-        pos = (q / 100.0) * (len(ordered) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return self._pct(series.values, q)
 
     def merge_series(
         self,
@@ -223,7 +216,10 @@ class Histogram:
 
     @staticmethod
     def _pct(values: list[float], q: float) -> float:
+        """q-th percentile of non-empty ``values`` by linear interpolation."""
         ordered = sorted(values)
+        if len(ordered) == 1:
+            return ordered[0]
         pos = (q / 100.0) * (len(ordered) - 1)
         lo = int(pos)
         hi = min(lo + 1, len(ordered) - 1)

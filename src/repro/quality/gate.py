@@ -26,6 +26,7 @@ coverage fractions from.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,17 +275,27 @@ class _BadgeDayInspector:
         x, y = a["x"], a["y"]
 
         with np.errstate(invalid="ignore"):
-            nan_active = active & (
-                np.isnan(accel) | np.isnan(sound) | np.isnan(voice)
-            )
-            impossible = (
-                (accel < 0) | (accel > p.accel_max)
-                | np.isposinf(voice) | (voice > p.level_max_db)
-                | np.isinf(sound) | (sound < p.level_min_db) | (sound > p.level_max_db)
-                | np.isinf(accel)
-                | np.isinf(x) | np.isinf(y)
-                | np.isinf(pitch) | (pitch <= 0) | (pitch > p.pitch_max_hz)
-            )
+            # Each corruption predicate once, keyed by the channel it
+            # masks: NaN on a recording frame, and values outside
+            # physical limits.
+            nan_masks = {
+                name: active & np.isnan(a[name])
+                for name in ("accel_rms", "sound_db", "voice_db")
+            }
+            limit_masks = {
+                "accel_rms": (accel < 0) | (accel > p.accel_max) | np.isinf(accel),
+                "sound_db": (
+                    np.isinf(sound) | (sound < p.level_min_db) | (sound > p.level_max_db)
+                ),
+                "voice_db": np.isposinf(voice) | (voice > p.level_max_db),
+                "x": np.isinf(x),
+                "y": np.isinf(y),
+                "dominant_pitch_hz": (
+                    np.isinf(pitch) | (pitch <= 0) | (pitch > p.pitch_max_hz)
+                ),
+            }
+            nan_active = functools.reduce(np.logical_or, nan_masks.values())
+            impossible = functools.reduce(np.logical_or, limit_masks.values())
             stuck = _long_equal_runs(accel, p.stuck_run_frames) & active
 
             room = a["room"]
@@ -293,7 +304,7 @@ class _BadgeDayInspector:
             m = p.bounds_margin_m
             coord_bad = (
                 (x < x0 - m) | (x > x1 + m) | (y < y0 - m) | (y > y1 + m)
-            ) & ~np.isinf(x) & ~np.isinf(y)
+            ) & ~limit_masks["x"] & ~limit_masks["y"]
             stab_bad = ((stability < 0) | (stability > 1)) & np.isfinite(stability)
 
         if nan_active.any():
@@ -338,26 +349,10 @@ class _BadgeDayInspector:
             # evidence.  A frame corrupted on several channels counts
             # once per channel; ``pitch_stability`` never masks (it is
             # clamped, not masked), so it never appears here.
-            with np.errstate(invalid="ignore"):
-                per_channel = {
-                    "accel_rms": (
-                        (active & np.isnan(accel)) | (accel < 0)
-                        | (accel > p.accel_max) | np.isinf(accel) | stuck
-                    ),
-                    "sound_db": (
-                        (active & np.isnan(sound)) | np.isinf(sound)
-                        | (sound < p.level_min_db) | (sound > p.level_max_db)
-                    ),
-                    "voice_db": (
-                        (active & np.isnan(voice)) | np.isposinf(voice)
-                        | (voice > p.level_max_db)
-                    ),
-                    "x": np.isinf(x),
-                    "y": np.isinf(y),
-                    "dominant_pitch_hz": (
-                        np.isinf(pitch) | (pitch <= 0) | (pitch > p.pitch_max_hz)
-                    ),
-                }
+            per_channel = dict(limit_masks)
+            for name, nan in nan_masks.items():
+                per_channel[name] = per_channel[name] | nan
+            per_channel["accel_rms"] = per_channel["accel_rms"] | stuck
             for name, mask in per_channel.items():
                 count = int(mask.sum())
                 if count:

@@ -62,6 +62,10 @@ class TestPaperRule:
         assert windows.recorded[0] and not windows.recorded[1]
         assert windows.fraction() == 1.0
 
+    def test_fraction_of_a_noisy_day_is_a_share(self):
+        voice = np.random.default_rng(0).normal(55.0, 10.0, 14 * 3600)
+        assert 0.0 < speech_windows(make_summary(voice)).fraction() < 1.0
+
 
 class TestMachineRejection:
     def test_tts_frames_rejected(self):

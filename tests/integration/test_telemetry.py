@@ -44,10 +44,14 @@ class TestInstrumentedMission:
         assert len(missions) == 1
         mission = missions[0]
         assert mission["wall_s"] > 0
-        children = {s["name"] for s in spans if s["parent_id"] == mission["span_id"]}
-        assert "crew.simulate_mission" in children   # crew-sim stage
-        assert "sensing.day" in children             # sensing stage
-        assert "localization.day" in children        # localization stage
+
+        def children(parent):
+            return {s["name"] for s in spans if s["parent_id"] == parent["span_id"]}
+
+        assert "crew.simulate_mission" in children(mission)   # crew-sim stage
+        assert "exec.compute_day" in children(mission)        # one day's work
+        for day in (s for s in spans if s["name"] == "exec.compute_day"):
+            assert children(day) >= {"sensing.day", "localization.day"}
 
     def test_badge_day_spans_nested_under_sensing(self, instrumented):
         spans = instrumented.telemetry["spans"]
