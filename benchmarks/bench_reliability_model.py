@@ -5,7 +5,9 @@ at least 100x cheaper *per regime* than measuring one regime empirically
 — that gap is the entire reason the worst-case search can afford to
 score dozens of regimes before spending the chaos suite's budget; (2) a
 full banded prediction (quantile bisections included) must stay cheap
-enough to run inline in CI on every campaign.
+enough to run inline in CI on every campaign.  The two speed reports
+vary run to run, so they are printed (``pytest -s``), never written to a
+tracked file.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ MIN_ANALYTIC_SPEEDUP = 100.0
 N_REGIMES = 64
 
 
-def test_analytic_sweep_beats_empirical_by_100x(artifact_dir):
+def test_analytic_sweep_beats_empirical_by_100x():
     campaign = FaultCampaign.reference(days=14, seed=0)
 
     # Empirical cost: one seeded campaign through the real stack
@@ -47,9 +49,8 @@ def test_analytic_sweep_beats_empirical_by_100x(artifact_dir):
     analytic_s = analytic_total_s / N_REGIMES
 
     speedup = empirical_s / analytic_s
-    write_artifact(
-        artifact_dir, "reliability_model_speedup.txt",
-        f"empirical campaign:  {empirical_s * 1e3:8.1f} ms\n"
+    print(
+        f"\nempirical campaign:  {empirical_s * 1e3:8.1f} ms\n"
         f"analytic sweep:      {analytic_total_s * 1e3:8.1f} ms "
         f"for {N_REGIMES} regimes ({analytic_s * 1e6:.0f} us each)\n"
         f"per-regime speedup:  {speedup:8.0f}x (floor: "
@@ -63,7 +64,7 @@ def test_analytic_sweep_beats_empirical_by_100x(artifact_dir):
     )
 
 
-def test_coverage_predictor_beats_gated_mission_by_100x(artifact_dir):
+def test_coverage_predictor_beats_gated_mission_by_100x():
     """The sensing-level counterpart: a full banded coverage prediction
     vs one empirical gated-mission replay of the same campaign."""
     campaign = FaultCampaign.coverage_reference(days=14, seed=0)
@@ -95,9 +96,8 @@ def test_coverage_predictor_beats_gated_mission_by_100x(artifact_dir):
     sweep_s = (time.perf_counter() - t0) / N_REGIMES
 
     speedup = empirical_s / analytic_s
-    write_artifact(
-        artifact_dir, "coverage_model_speedup.txt",
-        f"empirical gated mission: {empirical_s * 1e3:8.1f} ms\n"
+    print(
+        f"\nempirical gated mission: {empirical_s * 1e3:8.1f} ms\n"
         f"analytic prediction:     {analytic_s * 1e3:8.1f} ms "
         f"({speedup:.0f}x, floor: {MIN_ANALYTIC_SPEEDUP:.0f}x)\n"
         f"sweep per regime:        {sweep_s * 1e6:8.0f} us\n"

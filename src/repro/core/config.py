@@ -126,7 +126,7 @@ class ExecutionConfig:
 
         ``"auto"`` sizes the pool to the machine: serial on boxes with
         two or fewer cores (a pool would just add pickling overhead
-        there), one worker per core otherwise.  The mission driver
+        there), one worker per core otherwise.  The day pool's supervisor
         additionally keeps ``"auto"`` serial for small missions — see
         :meth:`auto_serial`.
         """

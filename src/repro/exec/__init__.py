@@ -3,13 +3,14 @@
 Everything about *how* a mission run executes — as opposed to *what* it
 computes — lives here:
 
-- :mod:`repro.exec.executor` — per-day work unit (:func:`compute_day` /
-  :class:`DayOutcome`) and the pool-worker entry points, bit-identical
-  to serial execution;
-- :mod:`repro.exec.supervisor` — the process-pool fan-out: one pool
-  per call, per-day deadlines, salvage of every finished day, and a
-  hand-back of the unfinished days to the serial loop when the pool
-  breaks or hangs;
+- :mod:`repro.exec.executor` — a day's work (:func:`compute_day` /
+  :class:`DayOutcome`, on the stack :func:`day_stack` builds), the same
+  in the serial loop and in a pool worker;
+- :mod:`repro.exec.supervisor` — both sides of the day pool: which
+  missions may use it, the worker entry points, one pool per call,
+  per-day deadlines, salvage of every finished day, the merge of worker
+  telemetry, and a hand-back of the unfinished days to the serial loop
+  when the pool breaks or hangs;
 - :mod:`repro.exec.cache` — content-addressed on-disk store of ground
   truth and completed days, the one place a run resumes from;
 - :mod:`repro.exec.checkpoint` — the store's per-fingerprint writer

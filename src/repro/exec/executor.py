@@ -1,4 +1,4 @@
-"""Parallel badge-day execution.
+"""One badge-day's work, the same in every execution mode.
 
 The per-badge-day work of a mission — wear simulation, sensor synthesis,
 localization, summary reduction — is embarrassingly parallel once the
@@ -18,8 +18,8 @@ self-contained:
 
 :func:`compute_day` is the single source of truth for one day's work —
 the serial driver calls it inline, the process-pool workers of
-:func:`repro.exec.supervisor.run_days_supervised` call it in
-:func:`_worker_day`.  Parallel execution is therefore **bit-identical**
+:func:`repro.exec.supervisor.run_days_supervised` call it on the same
+:func:`day_stack`.  Parallel execution is therefore **bit-identical**
 to serial for everything that reaches a
 :class:`~repro.analytics.dataset.BadgeDaySummary`.
 
@@ -33,7 +33,6 @@ supervisor refuses them; bus- and data-level faults never touch
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,14 +54,16 @@ from repro.core.rng import RngRegistry, mission_sensing_registry
 from repro.crew.trace import MissionTruth
 from repro.faults.plan import FaultPlan
 from repro.localization.pipeline import Localizer
-from repro.obs import _state as _obs
-from repro.obs import get_logger, span
-
-log = get_logger("repro.exec.executor")
+from repro.obs import span
 
 
 class ExecutorUnavailable(RuntimeError):
-    """Raised when parallel execution cannot run; callers fall back to serial."""
+    """The day pool cannot run these days; the caller computes them
+    serially and counts the fall-back as ``exec.fallback{reason}``."""
+
+    def __init__(self, message: str, reason: str = "executor-unavailable") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass
@@ -81,9 +82,16 @@ class DayOutcome:
     #: badge_id -> seconds of recorded data, for replaying the mission's
     #: SD-card accountant in day order.
     active_seconds: dict[int, float] = field(default_factory=dict)
-    #: Worker-side telemetry snapshot to merge into the driver's stores
-    #: (parallel runs only; never cached).
-    telemetry: Optional[dict] = None
+
+
+def day_stack(
+    cfg: MissionConfig, truth: MissionTruth
+) -> tuple[BadgeAssignment, RngRegistry, dict[int, Badge]]:
+    """The badge assignment, sensing RNG registry and fleet of a mission,
+    built alike by the serial driver and every pool worker."""
+    assignment = BadgeAssignment(cfg=cfg, roster=truth.roster)
+    rngs = mission_sensing_registry(cfg.seed)
+    return assignment, rngs, make_fleet(assignment, rngs)
 
 
 def compute_day(
@@ -188,94 +196,3 @@ def degrade_day(
         obs.bytes_recorded = sdcard.record_day(
             obs.badge_id, obs.day, float(obs.active.sum()) * cfg.frame_dt
         )
-
-
-# -- process-pool workers ----------------------------------------------
-#
-# Workers are initialized once with the pickled mission context and keep
-# it in module globals; each task then ships only a day index in and one
-# DayOutcome out.  The worker's fleet/registry are reused across its
-# tasks — safe because day-start state is history-independent (see the
-# module docstring).
-
-_CTX: Optional[tuple] = None
-#: Fault injection (worker-crash chaos / hung-worker tests): days whose
-#: worker SIGKILLs itself or stalls before computing.  Set per pool by
-#: the supervisor via ``_worker_init``; empty in normal operation.
-_CRASH_DAYS: frozenset[int] = frozenset()
-_HANG_DAYS: frozenset[int] = frozenset()
-_HANG_S: float = 0.0
-
-
-def pickle_context(
-    cfg: MissionConfig,
-    truth: MissionTruth,
-    models: SensingModels,
-    localizer: Localizer,
-) -> bytes:
-    """Pickle the worker-side mission context, or raise :class:`ExecutorUnavailable`."""
-    try:
-        return pickle.dumps(
-            (cfg, truth, models, localizer), protocol=pickle.HIGHEST_PROTOCOL
-        )
-    except Exception as exc:
-        raise ExecutorUnavailable(f"mission context is not picklable: {exc!r}") from exc
-
-
-def _worker_init(
-    payload: bytes,
-    telemetry_enabled: bool,
-    crash_days: tuple[int, ...] = (),
-    hang_days: tuple[int, ...] = (),
-    hang_s: float = 0.0,
-) -> None:
-    global _CTX, _CRASH_DAYS, _HANG_DAYS, _HANG_S
-    from repro import obs
-
-    obs.reset()  # a forked worker inherits the driver's telemetry stores
-    if telemetry_enabled:
-        obs.enable()
-    cfg, truth, models, localizer = pickle.loads(payload)
-    assignment = BadgeAssignment(cfg=cfg, roster=truth.roster)
-    rngs = mission_sensing_registry(cfg.seed)
-    fleet = make_fleet(assignment, rngs)
-    _CTX = (cfg, truth, assignment, models, localizer, fleet, rngs)
-    _CRASH_DAYS = frozenset(crash_days)
-    _HANG_DAYS = frozenset(hang_days)
-    _HANG_S = hang_s
-
-
-def _worker_day(day: int) -> DayOutcome:
-    from repro.obs import export as obs_export
-    from repro.obs import logging as obs_logging
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import tracing as obs_tracing
-
-    assert _CTX is not None, "worker used before initialization"
-    if day in _CRASH_DAYS:
-        # Injected worker-crash fault: die the way a real crash does —
-        # no exception, no cleanup, the pool just loses the process.
-        import os
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
-    if day in _HANG_DAYS:
-        # Injected straggler: stall past any reasonable day deadline.
-        import time
-
-        time.sleep(_HANG_S)
-    cfg, truth, assignment, models, localizer, fleet, rngs = _CTX
-    if _obs.enabled:
-        # Per-day snapshots: clear the stores so each outcome carries
-        # only its own day's telemetry and the driver can merge outcomes
-        # in day order without double counting.
-        obs_metrics.registry.reset()
-        obs_tracing.collector.reset()
-        obs_logging.buffer.reset()
-    outcome = compute_day(
-        cfg, truth, day, assignment, models, localizer, fleet, rngs,
-        SdCardAccountant(), plan=None,
-    )
-    if _obs.enabled:
-        outcome.telemetry = obs_export.to_dict(include_histogram_values=True)
-    return outcome

@@ -1,12 +1,15 @@
-"""Worker supervision: one pool per call, deadlines, salvage, hand-back.
+"""The day pool, both sides of its process boundary: one pool per call.
 
-:func:`run_days_supervised` is the mission driver's one parallel path.
-A bare pool ``map`` would lose every finished day to one worker death;
-for a long unattended sweep — the failure mode field deployments of
-distributed instruments keep reporting — this wraps the bit-identical
-per-day work (:func:`repro.exec.executor.compute_day`) in one supervised
-pool:
+:func:`run_days_supervised` is the mission driver's one parallel path,
+and every decision about the pool is made here:
 
+* **eligibility** — sensing-fault plans and ``"auto"`` missions too
+  small for a pool are refused, with the refusal as the ``reason`` of
+  :class:`~repro.exec.executor.ExecutorUnavailable`;
+* **the worker side** — each worker unpickles the mission context once
+  and runs :func:`~repro.exec.executor.compute_day` for every day it is
+  handed; a ``worker-crash`` event of the mission's fault plan makes the
+  worker computing that day SIGKILL itself;
 * **salvage first** — every day is handed to the caller's
   ``on_outcome`` hook as soon as its future lands and its worker has
   the next day, so it reaches the day store before anything riskier
@@ -22,38 +25,45 @@ pool:
   hung day the supervisor kills the pool and raises
   :class:`~repro.exec.executor.ExecutorUnavailable` naming the cause and
   the days left.  The supervisor detects; it does not retry.  The mission
-  driver finishes the remaining days with its serial loop.
+  driver finishes the remaining days with its serial loop;
+* **telemetry** — workers snapshot their telemetry per day, and the
+  snapshots join the caller's span in day order before the call ends.
 
 Genuine exceptions raised by the day computation itself propagate
 unchanged, exactly as on the serial path.
 
 Timeouts are visible in telemetry (the ``exec.timeouts`` counter and the
-``exec.supervise`` span), and the driver counts each hand-back as
-``exec.fallback{reason="executor-unavailable"}``.
+``exec.supervise`` span), and the driver counts each refusal and
+hand-back as ``exec.fallback{reason}``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
+import os
+import pickle
+import signal
 import time
 from typing import Callable, Optional
 
+from repro.badges.pipeline import SensingModels
+from repro.badges.sdcard import SdCardAccountant
 from repro.core.config import ExecutionConfig, MissionConfig
 from repro.core.errors import ConfigError
+from repro.crew.trace import MissionTruth
 from repro.exec.executor import (
     DayOutcome,
     ExecutorUnavailable,
-    _worker_day,
-    _worker_init,
-    pickle_context,
+    compute_day,
+    day_stack,
 )
-from repro.badges.pipeline import SensingModels
-from repro.crew.trace import MissionTruth
 from repro.localization.pipeline import Localizer
 from repro.obs import _state as _obs
+from repro.obs import export as _export
 from repro.obs import get_logger
+from repro.obs import logging as _logging
 from repro.obs import metrics as _metrics
-from repro.obs import span
+from repro.obs import span, tracing
 
 log = get_logger("repro.exec.supervisor")
 
@@ -62,19 +72,63 @@ log = get_logger("repro.exec.supervisor")
 _POLL_S = 0.02
 
 
-def _spawn_pool(
-    workers: int,
-    payload: bytes,
-    crash_days: frozenset[int],
-    hang_days: frozenset[int],
-    hang_s: float,
-) -> cf.ProcessPoolExecutor:
+# -- the worker side ---------------------------------------------------
+#
+# Workers keep the unpickled mission context in module globals; each
+# task ships a day index in and (outcome, telemetry snapshot or None)
+# out.  A worker's fleet/registry serve all its days — safe because
+# day-start state is history-independent (see repro.exec.executor).
+
+_CTX: Optional[tuple] = None
+#: Injected stragglers (tests): days whose worker stalls, and for how long.
+_HANG_DAYS: frozenset[int] = frozenset()
+_HANG_S: float = 0.0
+
+
+def _worker_init(payload: bytes, telemetry_enabled: bool,
+                 hang_days: frozenset[int], hang_s: float) -> None:
+    global _CTX, _HANG_DAYS, _HANG_S
+    from repro import obs
+
+    obs.reset()  # a forked worker inherits the driver's telemetry stores
+    if telemetry_enabled:
+        obs.enable()
+    cfg, truth, models, localizer = pickle.loads(payload)
+    _CTX = (cfg, truth, models, localizer, *day_stack(cfg, truth))
+    _HANG_DAYS, _HANG_S = hang_days, hang_s
+
+
+def _worker_day(day: int) -> tuple[DayOutcome, Optional[dict]]:
+    assert _CTX is not None, "worker used before initialization"
+    cfg, truth, models, localizer, assignment, rngs, fleet = _CTX
+    if cfg.fault_plan is not None and day in cfg.fault_plan.worker_crash_days():
+        # Injected worker-crash fault: die the way a real crash does —
+        # no exception, no cleanup, the pool just loses the process.
+        os.kill(os.getpid(), signal.SIGKILL)
+    if day in _HANG_DAYS:
+        time.sleep(_HANG_S)  # past any reasonable day deadline
+    if _obs.enabled:
+        # Per-day snapshots: each carries only its own day's telemetry,
+        # so they merge in day order without double counting.
+        _metrics.registry.reset()
+        tracing.collector.reset()
+        _logging.buffer.reset()
+    outcome = compute_day(
+        cfg, truth, day, assignment, models, localizer, fleet, rngs,
+        SdCardAccountant(), plan=None,
+    )
+    snapshot = (_export.to_dict(include_histogram_values=True)
+                if _obs.enabled else None)
+    return outcome, snapshot
+
+
+def _spawn_pool(workers: int, payload: bytes, hang_days: frozenset[int],
+                hang_s: float) -> cf.ProcessPoolExecutor:
     try:
         return cf.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(payload, _obs.enabled, tuple(sorted(crash_days)),
-                      tuple(sorted(hang_days)), hang_s),
+            initargs=(payload, _obs.enabled, hang_days, hang_s),
         )
     except (OSError, ValueError, PermissionError) as exc:
         raise ExecutorUnavailable(f"cannot start process pool: {exc!r}") from exc
@@ -116,9 +170,9 @@ def _watch(
     days: list[int],
     workers: int,
     deadline_s: Optional[float],
-    deliver: Callable[[DayOutcome], None],
+    deliver: Callable[[tuple[DayOutcome, Optional[dict]]], None],
 ) -> Optional[str]:
-    """Hand ``days`` to the pool and ``deliver`` each outcome as it lands.
+    """Hand ``days`` to the pool and ``deliver`` each result as it lands.
 
     At most ``workers`` days are in flight, so a day handed off starts
     at once and its deadline clock runs from the hand-off; a day never
@@ -184,7 +238,6 @@ def run_days_supervised(
     execution: ExecutionConfig,
     *,
     on_outcome: Optional[Callable[[DayOutcome], None]] = None,
-    crash_days: frozenset[int] = frozenset(),
     hang_days: frozenset[int] = frozenset(),
     hang_s: float = 120.0,
 ) -> dict[int, DayOutcome]:
@@ -192,36 +245,58 @@ def run_days_supervised(
 
     ``on_outcome`` is invoked for every completed day as soon as it
     lands — including days salvaged out of a broken pool — so the caller
-    can store it before the supervisor does anything riskier.
-    ``crash_days`` / ``hang_days`` inject executor-level faults: a worker
-    computing such a day SIGKILLs itself / stalls for ``hang_s``.
+    can store it before the supervisor does anything riskier.  A worker
+    SIGKILLs itself on a day a ``worker-crash`` event of ``cfg.fault_plan``
+    strikes, and stalls for ``hang_s`` on one of ``hang_days``.
 
-    Raises :class:`ExecutorUnavailable` when this pool cannot finish the
-    days: the context does not pickle, the pool cannot start, a worker
-    died, or a day ran past ``execution.day_deadline_s``.  The message
-    names the cause and the days left; every outcome already delivered
-    through ``on_outcome`` remains valid, so the caller finishes the
-    rest serially.  No pool is respawned.
+    Raises :class:`ExecutorUnavailable` when the mission may not use a
+    pool (``reason`` ``"auto-small-mission"`` or ``"sensing-fault-plan"``)
+    or this pool cannot finish the days: the context does not pickle, the
+    pool cannot start, a worker died, or a day ran past
+    ``execution.day_deadline_s``.  The message names the cause and the
+    days left; every outcome already delivered through ``on_outcome``
+    remains valid, so the caller finishes the rest serially.  No pool is
+    respawned.  Worker telemetry is merged under the span open at the
+    call, in day order, after ``exec.supervise`` closes, before this
+    returns or raises.
     """
     if execution.worker_count < 2:
         raise ConfigError("run_days_supervised needs n_workers >= 2")
+    # "auto" keeps a mission serial when fork + context pickling would
+    # cost more than its days (the small-box 0.92x regression).
+    units = len(days) * cfg.frames_per_day * (cfg.crew_size + 1)
+    if execution.auto_serial(units):
+        raise ExecutorUnavailable(
+            f"{units} frame-badge units are too few to pay for an 'auto' pool",
+            reason="auto-small-mission")
+    # Only sensing-level faults (battery cuts, SD-card caps, beacon
+    # outages) couple days; bus- and executor-level ones keep the pool.
     if cfg.fault_plan is not None and cfg.fault_plan.sensing_events():
         raise ExecutorUnavailable(
-            "sensing-fault plans couple days through the SD-card budget; run serially"
-        )
-    payload = pickle_context(cfg, truth, models, localizer)
+            "sensing-fault plans couple days through the SD-card budget; "
+            "run serially", reason="sensing-fault-plan")
+    try:
+        payload = pickle.dumps((cfg, truth, models, localizer),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise ExecutorUnavailable(f"mission context is not picklable: {exc!r}") from exc
     days = sorted(days)
     outcomes: dict[int, DayOutcome] = {}
+    snapshots: dict[int, dict] = {}
+    caller = tracing.current_span()
 
-    def deliver(outcome: DayOutcome) -> None:
+    def deliver(landed: tuple[DayOutcome, Optional[dict]]) -> None:
+        outcome, snapshot = landed
         outcomes[outcome.day] = outcome
+        if snapshot is not None:
+            snapshots[outcome.day] = snapshot
         if on_outcome is not None:
             on_outcome(outcome)
 
     with span("exec.supervise", days=len(days),
               workers=execution.worker_count):
         workers = min(execution.worker_count, len(days))
-        pool = _spawn_pool(workers, payload, crash_days, hang_days, hang_s)
+        pool = _spawn_pool(workers, payload, hang_days, hang_s)
         try:
             cause = _watch(pool, days, workers, execution.day_deadline_s,
                            deliver)
@@ -230,7 +305,13 @@ def run_days_supervised(
             raise
         if cause is None:
             pool.shutdown(wait=True)
-            return outcomes
-        _kill_pool(pool)
+        else:
+            _kill_pool(pool)
+    # Days land in completion order; their telemetry joins in day order.
+    parent_id = caller.span_id if caller is not None else None
+    for day in sorted(snapshots):
+        _export.merge_snapshot(snapshots[day], parent_span_id=parent_id)
+    if cause is None:
+        return outcomes
     left = [day for day in days if day not in outcomes]
     raise ExecutorUnavailable(f"{cause}; day(s) {left} left unfinished")

@@ -12,7 +12,8 @@ and an optional content-addressed store (``cache_dir``) of ground truth
 and completed days.  A run with a store holds the fingerprint's writer
 lease, reads the days the store already has and stores each new day as
 it lands, so rerunning a killed mission resumes it without recomputing
-completed days.  Missions with
+completed days.  Whether a mission may use the pool is the
+supervisor's call (:mod:`repro.exec.supervisor`): missions with
 *sensing*-level faults always run serially — SD-card capacity faults
 couple days through the cumulative write budget (see
 :mod:`repro.exec.executor`); bus-level and executor-level faults do not
@@ -28,10 +29,9 @@ from typing import Optional
 
 from repro.analytics.dataset import MissionSensing
 from repro.badges.assignment import BadgeAssignment
-from repro.badges.pipeline import SensingModels, make_fleet
+from repro.badges.pipeline import SensingModels
 from repro.badges.sdcard import SdCardAccountant
 from repro.core.config import ExecutionConfig, MissionConfig
-from repro.core.rng import mission_sensing_registry
 from repro.crew.behavior import simulate_mission
 from repro.crew.trace import MissionTruth
 from repro.exec.cache import MissionCache
@@ -40,6 +40,7 @@ from repro.exec.executor import (
     DayOutcome,
     ExecutorUnavailable,
     compute_day,
+    day_stack,
     replay_accounting,
 )
 from repro.core.errors import ConfigError
@@ -56,7 +57,7 @@ from repro.obs import enabled as obs_enabled
 from repro.obs import export as obs_export
 from repro.obs import get_logger
 from repro.obs import metrics as _metrics
-from repro.obs import span, tracing
+from repro.obs import span
 
 log = get_logger("repro.experiments.mission")
 
@@ -205,14 +206,12 @@ def run_mission(
     with span("mission", days=cfg.days, seed=cfg.seed,
               workers=execution.worker_count):
         truth = _resolve_truth(cfg, truth, cache)
-        rngs = mission_sensing_registry(cfg.seed)
-        assignment = BadgeAssignment(cfg=cfg, roster=truth.roster)
+        assignment, rngs, fleet = day_stack(cfg, truth)
         default_stack = models is None and localizer is None
         models = models if models is not None else SensingModels.default(cfg, truth.plan)
         localizer = (
             localizer if localizer is not None else Localizer(truth.plan, models.beacons)
         )
-        fleet = make_fleet(assignment, rngs)
         sdcard = SdCardAccountant()
         sensing = MissionSensing(cfg=cfg, plan=truth.plan, assignment=assignment)
         plan = cfg.fault_plan
@@ -236,8 +235,8 @@ def run_mission(
                 journal.load_completed(cfg.instrumented_days)
                 if journal is not None else {})
             missing = [d for d in cfg.instrumented_days if d not in outcomes]
-            # Each day is stored the moment it completes — serially, from
-            # the supervisor's harvest, or salvaged out of a broken pool —
+            # Each day is stored the moment it completes — serially, as
+            # the supervisor delivers it, or salvaged out of a broken pool —
             # so a later crash can resume past it.
             persist = journal.record if journal is not None else lambda _: None
 
@@ -319,64 +318,35 @@ def _compute_missing_days(
 ) -> None:
     """Fill ``outcomes`` for ``missing`` days, persisting each as it lands.
 
-    Chooses the supervised parallel path when the execution config asks
-    for it and the mission qualifies (no *sensing* faults — SD-card
-    budgets couple days — and a picklable stack); otherwise walks days
-    serially.  When the pool cannot finish (a worker died, a day hung)
-    the supervisor hands back and the *remaining* days run serially:
-    everything the pool completed was already harvested and persisted.
-    Either way the mission-level ``sdcard`` accountant ends up in the
-    exact state a purely serial run would produce.
+    An execution config that asks for a pool hands the days to the
+    supervisor, which decides whether this mission may use one.  When it
+    refuses, or its pool cannot finish (a worker died, a day hung), the
+    fall-back is signalled and the *remaining* days run serially:
+    everything the pool completed was already persisted.  Either way the
+    mission-level ``sdcard`` accountant ends up in the exact state a
+    purely serial run would produce.
     """
-    # Sensing-level faults (battery cuts, SD-card caps, beacon outages)
-    # are what couples days; bus- and executor-level faults never touch
-    # compute_day, so they keep the parallel path.
-    sensing_plan = plan if plan is not None and plan.sensing_events() else None
-    # "auto" weighs the pending work against the pool's spin-up cost:
-    # a mission small enough to finish in less time than fork + context
-    # pickling runs serially (the small-box 0.92x regression).
-    pending_units = len(missing) * cfg.frames_per_day * (cfg.crew_size + 1)
-    small_auto = execution.auto_serial(pending_units)
-
-    if (execution.parallel and missing and not small_auto
-            and sensing_plan is None):
-        mission_span = tracing.current_span()
-        parent_id = mission_span.span_id if mission_span is not None else None
-        snapshots: dict[int, dict] = {}
-
-        def harvest(outcome: DayOutcome) -> None:
-            # Days land in completion order; their worker telemetry is
-            # merged below in day order, and never stored.
-            if outcome.telemetry is not None:
-                snapshots[outcome.day] = outcome.telemetry
-                outcome.telemetry = None
+    if execution.parallel and missing:
+        def land(outcome: DayOutcome) -> None:
             persist(outcome)
             outcomes[outcome.day] = outcome
 
-        crash_days = plan.worker_crash_days() if plan is not None else frozenset()
         try:
-            run_days_supervised(
-                cfg, truth, models, localizer, missing, execution,
-                on_outcome=harvest, crash_days=crash_days,
-            )
+            run_days_supervised(cfg, truth, models, localizer, missing,
+                                execution, on_outcome=land)
         except ExecutorUnavailable as exc:
             # Salvaged days are already in ``outcomes``; only the rest
             # falls back to serial below.
-            _signal_fallback("executor-unavailable", detail=str(exc),
-                            workers=execution.worker_count,
-                            salvaged=len([d for d in missing if d in outcomes]))
-        for day in sorted(snapshots):
-            obs_export.merge_snapshot(snapshots[day], parent_span_id=parent_id)
-    elif execution.parallel and missing:
-        reason = "auto-small-mission" if small_auto else "sensing-fault-plan"
-        _signal_fallback(
-            reason, workers=execution.worker_count, units=pending_units,
-        )
+            _signal_fallback(exc.reason, detail=str(exc),
+                             workers=execution.worker_count,
+                             salvaged=len([d for d in missing if d in outcomes]))
 
     # Serial path: restored/cached/pool-computed days replay their
     # accounting in day order so a later (possibly faulted) day sees the
     # exact cumulative totals; a pool that finished leaves nothing to
-    # compute.
+    # compute.  Only sensing-level faults (battery cuts, SD-card caps,
+    # beacon outages) touch compute_day.
+    sensing_plan = plan if plan is not None and plan.sensing_events() else None
     for day in cfg.instrumented_days:
         if day in outcomes:
             replay_accounting(outcomes[day], sdcard)

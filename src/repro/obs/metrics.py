@@ -224,6 +224,10 @@ class Histogram:
         lo = int(pos)
         hi = min(lo + 1, len(ordered) - 1)
         frac = pos - lo
+        if frac == 0.0:
+            # On a sample: interpolating would weigh an infinite
+            # neighbour by 0.0, which is NaN.
+            return ordered[lo]
         return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 

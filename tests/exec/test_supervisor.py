@@ -9,6 +9,7 @@ bit-identical to a serial run.
 
 import dataclasses
 import time
+from collections import Counter
 
 import pytest
 
@@ -94,15 +95,18 @@ class TestCrashRecovery:
             return original(*args)
 
         monkeypatch.setattr(sup, "_spawn_pool", counted)
+        plan = FaultPlan.build(
+            FaultEvent(time_s=2.2 * DAY, action="worker-crash")  # day 3
+        )
         harvested = []
         # Day 3's injected crash breaks the one pool; the error names the
         # days left for the caller's serial loop, and only a day that
         # finished first can have been handed over.
         with pytest.raises(ExecutorUnavailable,
-                           match=r"broke .*day\(s\) \[(2, )?3\] left"):
-            _supervise(cfg, stack, [2, 3],
-                       on_outcome=lambda o: harvested.append(o.day),
-                       crash_days=frozenset({3}))
+                           match=r"broke .*day\(s\) \[(2, )?3\] left") as err:
+            _supervise(dataclasses.replace(cfg, fault_plan=plan), stack,
+                       [2, 3], on_outcome=lambda o: harvested.append(o.day))
+        assert err.value.reason == "executor-unavailable"
         assert len(spawns) == 1
         assert set(harvested) <= {2}
 
@@ -205,6 +209,40 @@ class TestDeadlines:
             obs.reset()
 
 
+def _observed(cfg, execution):
+    """(span name, parent name) pairs and counter series of one run."""
+    from repro import obs
+
+    obs.reset()
+    obs.enable()
+    try:
+        run_mission(cfg, execution=execution)
+        spans = obs.tracing.collector.spans
+        names = {s.span_id: s.name for s in spans}
+        pairs = Counter((s.name, names.get(s.parent_id)) for s in spans)
+        counters = {
+            name: sorted((sorted(s["labels"].items()), s["value"])
+                         for s in metric["series"])
+            for name, metric in obs.metrics.registry.snapshot().items()
+            if metric["type"] == "counter"
+        }
+        return pairs, counters
+    finally:
+        obs.reset()
+
+
+class TestTelemetryMerge:
+    def test_pool_tree_is_the_serial_tree_under_one_supervise_span(self, cfg):
+        """Worker telemetry joins the ``mission`` span: the pool's tree is
+        the serial tree plus ``exec.supervise``, counters unchanged."""
+        serial_pairs, serial_counters = _observed(cfg, ExecutionConfig())
+        pool_pairs, pool_counters = _observed(cfg, FAST)
+        assert serial_pairs[("exec.compute_day", "mission")] == 2
+        assert pool_pairs == serial_pairs + Counter(
+            {("exec.supervise", "mission"): 1})
+        assert pool_counters == serial_counters
+
+
 class TestKillPool:
     def test_half_sent_result_does_not_hang_the_pool(self):
         """A worker killed while sending its result leaves half a message
@@ -301,14 +339,14 @@ class TestBoundedDegradation:
         pickling overhead exceeds the mission's whole day-compute."""
         from repro import obs
         import repro.core.config as config_mod
-        import repro.experiments.mission as mission_mod
+        import repro.exec.supervisor as sup
 
         monkeypatch.setattr(config_mod.os, "cpu_count", lambda: 8)
 
         def pool_forbidden(*args, **kwargs):
             raise AssertionError("small auto mission must not start a pool")
 
-        monkeypatch.setattr(mission_mod, "run_days_supervised", pool_forbidden)
+        monkeypatch.setattr(sup, "_spawn_pool", pool_forbidden)
         obs.reset()
         obs.enable()
         try:

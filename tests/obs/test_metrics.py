@@ -90,6 +90,13 @@ class TestHistogram:
         assert h.percentile(100.0) == 100.0
         assert h.percentile(95.0) == pytest.approx(95.05)
 
+    def test_percentile_on_a_sample_next_to_infinity(self, on):
+        h = metrics.histogram("test.inf")
+        h.observe(1.0)
+        h.observe(math.inf)
+        assert h.percentile(0.0) == 1.0
+        assert h.percentile(100.0) == math.inf
+
     def test_percentile_empty_is_nan(self, on):
         h = metrics.histogram("test.empty")
         assert math.isnan(h.percentile(50.0))
