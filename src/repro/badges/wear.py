@@ -136,13 +136,16 @@ class WearModel:
         """
         n = worn.shape[0]
         settled = self._settled_mask(trace.room, int(round(SETTLED_S / dt)))
+        # Episodes only ever clear frames of ``worn``, so the worn count
+        # and the sorted candidate frames are updated per episode, not
+        # recomputed over the day; ``n_worn / n`` is ``worn.mean()`` to
+        # the bit.
+        n_worn = int(np.count_nonzero(worn))
+        candidates = np.flatnonzero(
+            worn & settled & (trace.activity == int(Activity.WORK))
+        )
         for _ in range(200):
-            if worn.mean() <= target + COMPLIANCE_TOL:
-                return
-            candidates = np.flatnonzero(
-                worn & settled & (trace.activity == int(Activity.WORK))
-            )
-            if candidates.size == 0:
+            if candidates.size == 0 or n_worn / n <= target + COMPLIANCE_TOL:
                 return
             start = int(candidates[int(rng.integers(candidates.size))])
             length = int(rng.uniform(DESK_EPISODE_MIN_S, DESK_EPISODE_MAX_S) / dt)
@@ -152,7 +155,10 @@ class WearModel:
             departures = np.flatnonzero(trace.room[start:end] != trace.room[start])
             if departures.size:
                 end = start + int(departures[0])
+            n_worn -= int(np.count_nonzero(worn[start:end]))
             worn[start:end] = False
+            lo, hi = np.searchsorted(candidates, (start, end))
+            candidates = np.concatenate((candidates[:lo], candidates[hi:]))
         # Compliance is a behavioral target, not an invariant: on days
         # packed with short stays there may be too few settled stretches
         # to shed enough wear time; best effort is the right model.
@@ -183,7 +189,6 @@ class WearModel:
         has_prior = last_worn >= 0
         badge_xy[has_prior] = xy[last_worn[has_prior]]
         badge_xy[~has_prior] = np.float32(self.station_xy)  # overnight dock
-        badge_xy[worn] = xy[worn]
         badge_xy[at_station] = np.float32(self.station_xy)
         # NaN positions can only come from a worn badge outside (EVA), where
         # the badge is actually left in the airlock; forward-fill covers it,
@@ -191,5 +196,12 @@ class WearModel:
         nan_rows = np.isnan(badge_xy).any(axis=1)
         if nan_rows.any():
             badge_xy[nan_rows] = np.float32(self.plan.room("airlock").rect.center)
-        badge_room = self.plan.locate_many(badge_xy.astype(np.float64))
+        # The badge rests for long runs of frames: locate each run once.
+        moved = np.ones(n, dtype=bool)
+        moved[1:] = (badge_xy[1:] != badge_xy[:-1]).any(axis=1)
+        starts = np.flatnonzero(moved)
+        badge_room = np.repeat(
+            self.plan.locate_many(badge_xy[starts].astype(np.float64)),
+            np.diff(starts, append=n),
+        )
         return badge_xy, badge_room

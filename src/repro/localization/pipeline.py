@@ -73,12 +73,16 @@ class Localizer:
     ) -> list[LocalizationResult]:
         """Localize a whole fleet's badge-days in one batched call.
 
-        Smoothing and room detection stay per badge (their windows must
-        not leak across badge-days), then all frames are stacked and the
-        position solve runs room-compacted over the whole fleet at once
+        One ``(total frames, beacons)`` fleet matrix is allocated up
+        front.  Each badge's scan is smoothed straight into its own rows
+        (copied there when smoothing is off), and room detection reads
+        those rows: smoothing and detection stay per badge, since their
+        windows must not leak across badge-days.  The position solve then
+        runs room-compacted over the whole matrix at once
         (:func:`repro.localization.trilateration.localize_rooms`).  Every
         per-frame estimate is row-independent, so each badge-day's result
-        is bit-identical to localizing it alone.
+        is bit-identical to localizing it alone.  The scans are never
+        written.
 
         Args:
             scans: per badge, ``(frames, n_beacons)`` scan matrices.
@@ -92,7 +96,11 @@ class Localizer:
             raise ConfigError("scans and actives must align")
         if not scans:
             return []
-        total = int(sum(s.shape[0] for s in scans))
+        rows = []
+        total = 0
+        for s in scans:
+            rows.append(slice(total, total + s.shape[0]))
+            total += s.shape[0]
         with span("localization.day", badges=len(scans), frames=total):
             masked: tuple[int, ...] = ()
             if dead_beacons:
@@ -100,10 +108,18 @@ class Localizer:
                     b for b in {int(b) for b in dead_beacons}
                     if 0 <= b < scans[0].shape[1]
                 ))
-            rooms = []
-            smoothed = []
+            smooth = self.smooth_window is not None and self.smooth_window > 1
+            # The smoothed scans' common dtype: boxcar_smooth computes
+            # integer scans in float64, and badges that differ promote.
+            dtype = np.result_type(*(
+                np.float64 if smooth and not np.issubdtype(s.dtype, np.floating)
+                else s.dtype
+                for s in scans
+            ))
+            rssi_all = np.empty((total, scans[0].shape[1]), dtype=dtype)
+            room_all = np.empty(total, dtype=np.int8)
             with span("localization.room_detect", badges=len(scans)):
-                for rssi, active in zip(scans, actives):
+                for rssi, active, sl in zip(scans, actives, rows):
                     if masked:
                         rssi = rssi.copy()
                         rssi[:, list(masked)] = np.nan
@@ -112,12 +128,11 @@ class Localizer:
                                 "localization.dead_beacon_days",
                                 "badge-days localized with masked (dead) beacons",
                             ).inc()
-                    if self.smooth_window is not None and self.smooth_window > 1:
-                        rssi = boxcar_smooth(rssi, window=self.smooth_window)
-                    smoothed.append(rssi)
-                    rooms.append(self.detector.detect(rssi, active))
-            room_all = np.concatenate(rooms)
-            rssi_all = smoothed[0] if len(smoothed) == 1 else np.concatenate(smoothed)
+                    if smooth:
+                        boxcar_smooth(rssi, window=self.smooth_window, out=rssi_all[sl])
+                    else:
+                        rssi_all[sl] = rssi
+                    room_all[sl] = self.detector.detect(rssi_all[sl], active)
             with span("localization.solve", badges=len(scans)):
                 # Weighted centroid + optional Gauss-Newton, compacted to
                 # each detected room's own beacon columns.  Range-based
@@ -135,11 +150,7 @@ class Localizer:
                 )
                 xy = self._clamp_to_rooms(xy, room_all)
             results = []
-            offset = 0
-            for rssi in scans:
-                n = rssi.shape[0]
-                sl = slice(offset, offset + n)
-                offset += n
+            for sl in rows:
                 result = LocalizationResult(
                     room=room_all[sl].astype(np.int8),
                     x=xy[sl, 0].astype(np.float32),

@@ -55,7 +55,7 @@ def majority_filter(rooms: np.ndarray, window: int) -> np.ndarray:
     if labels.size == 0 or window == 1:
         return rooms.copy()
     n = rooms.shape[0]
-    half = window // 2
+    half = min(window // 2, n)  # offsets past the last frame add nothing
     counts = np.zeros((labels.size, n), dtype=np.int32)
     for k, label in enumerate(labels):
         mask = (rooms == label).astype(np.int32)

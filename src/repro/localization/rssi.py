@@ -12,22 +12,35 @@ import numpy as np
 from repro.core.errors import ConfigError
 
 
-def boxcar_smooth(rssi: np.ndarray, window: int = 5) -> np.ndarray:
+def boxcar_smooth(
+    rssi: np.ndarray, window: int = 5, out: np.ndarray | None = None
+) -> np.ndarray:
     """NaN-aware centered moving average over a ``(frames, beacons)`` matrix.
 
     Fully vectorized (one shifted add per window offset); this is the
     localization pipeline's smoother.  Cells with no finite sample in
     their window stay NaN.  The input's float dtype is preserved (the
-    pipeline smooths float32 scans in float32).
+    pipeline smooths float32 scans in float32); integer input is
+    smoothed in float64.
+
+    ``out``, when given, is the ``rssi``-shaped destination (the
+    localizer passes a badge's rows of its fleet matrix): the window sums
+    accumulate there and are divided in place, so no result array is
+    allocated.  A wider ``out`` dtype receives the result computed in the
+    input's dtype, as a cast of the returned array would.  The input is
+    never written.
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
     rssi = np.asarray(rssi)
     if not np.issubdtype(rssi.dtype, np.floating):
         rssi = rssi.astype(np.float64)
-    if window == 1 or rssi.shape[0] == 0:
-        return rssi.copy()
+    if out is None:
+        out = np.empty(rssi.shape, dtype=rssi.dtype)
     n = rssi.shape[0]
+    if window == 1 or n == 0:
+        out[...] = rssi
+        return out
     half = min(window // 2, n)  # offsets past the last frame add nothing
     finite = np.isfinite(rssi)
     values = np.where(finite, rssi, rssi.dtype.type(0))
@@ -39,7 +52,8 @@ def boxcar_smooth(rssi: np.ndarray, window: int = 5) -> np.ndarray:
     # preserved end to end.  Finite samples are counted in the smallest
     # unsigned type that holds ``window``; small integers convert to
     # float exactly, so the division is the float one, bit for bit.
-    sums = np.zeros_like(values)
+    sums = out if out.dtype == rssi.dtype else np.empty_like(values)
+    sums.fill(0)
     counts = np.zeros(values.shape, dtype=np.min_scalar_type(window))
     for off in range(-half, half + 1):
         dst = slice(max(0, -off), n - max(0, off))
@@ -48,7 +62,7 @@ def boxcar_smooth(rssi: np.ndarray, window: int = 5) -> np.ndarray:
         counts[dst] += ones[src]
     # Empty windows divide 0/0 and land on NaN directly — no fill pass.
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.divide(sums, counts, dtype=rssi.dtype)
+        return np.divide(sums, counts, dtype=rssi.dtype, out=out)
 
 
 def strongest_beacon(rssi: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """End-to-end localizer tests against ground truth (session fixtures)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,11 +83,17 @@ class TestDeadBeaconMasking:
         result = localize_one(loc, rssi, active, dead_beacons=[3, 7, 3])
         assert result.masked_beacons == (3, 7)
 
-    def test_input_rssi_not_mutated(self, loc, scan):
+    def test_input_rssi_not_mutated(self, truth, scan):
+        """Neither the masked copy, nor smoothing into the fleet matrix,
+        nor copying an unsmoothed scan there writes the caller's scan."""
         rssi, active = scan
         before = rssi.copy()
-        localize_one(loc, rssi, active, dead_beacons=[2])
-        np.testing.assert_array_equal(rssi, before)
+        for smooth_window, dead in ((5, [2]), (5, None), (None, None)):
+            loc = Localizer(
+                truth.plan, place_beacons(truth.plan, 9), smooth_window=smooth_window
+            )
+            localize_one(loc, rssi, active, dead_beacons=dead)
+            np.testing.assert_array_equal(rssi, before)
 
     def test_detection_continues_with_dead_beacons(self, loc, scan):
         rssi, active = scan
@@ -102,6 +110,33 @@ class TestDeadBeaconMasking:
         rssi, active = scan
         result = localize_one(loc, rssi, active, dead_beacons=[-1, 99, 4])
         assert result.masked_beacons == (4,)
+
+
+class TestFleetMatrixMemory:
+    def test_peak_stays_under_two_fleet_matrices(self, truth):
+        """Every badge is smoothed straight into one fleet matrix, so the
+        traced peak inside ``localize_fleet`` stays under two of them.  A
+        list of per-badge smoothed copies plus their concatenation peaks
+        near 2.5."""
+        badges, frames, n_beacons = 4, 20_000, 27
+        rng = np.random.default_rng(3)
+        scans = []
+        for _ in range(badges):
+            rssi = rng.uniform(-95.0, -50.0, size=(frames, n_beacons)).astype(np.float32)
+            rssi[rng.random((frames, n_beacons)) < 0.6] = np.nan
+            scans.append(rssi)
+        actives = [np.ones(frames, dtype=bool)] * badges
+        loc = Localizer(truth.plan, place_beacons(truth.plan, n_beacons))
+        matrix_bytes = badges * frames * n_beacons * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            loc.localize_fleet(scans, actives)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 2 * matrix_bytes
 
 
 class TestLocalizerConstruction:

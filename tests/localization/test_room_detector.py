@@ -32,6 +32,13 @@ class TestMajorityFilter:
         rooms = np.array([1, 2, 1], dtype=np.int8)
         np.testing.assert_array_equal(majority_filter(rooms, 1), rooms)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_window_wider_than_the_scan(self, n):
+        """Offsets past the last frame add nothing: every frame votes over
+        the whole scan."""
+        rooms = np.array([3, -1, 3, 5], dtype=np.int8)[:n]
+        np.testing.assert_array_equal(majority_filter(rooms, 7), np.full(n, 3))
+
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
             majority_filter(np.zeros(5, dtype=np.int8), window=4)

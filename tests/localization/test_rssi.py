@@ -66,6 +66,23 @@ class TestBoxcarSmooth:
         assert out is not rssi
 
 
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_out_receives_the_result_in_the_input_dtype(self, window):
+        """Smoothing into a destination gives the returned array's bytes,
+        also in a wider destination (a float32 badge in a float64 fleet
+        matrix), and leaves the input as it was."""
+        rng = np.random.default_rng(2)
+        rssi = rng.normal(-70.0, 5.0, size=(40, 3)).astype(np.float32)
+        rssi[rng.random(rssi.shape) < 0.5] = np.nan
+        before = rssi.copy()
+        ref = boxcar_smooth(rssi, window=window)
+        for dtype in (np.float32, np.float64):
+            out = np.full(rssi.shape, 7.0, dtype=dtype)
+            assert boxcar_smooth(rssi, window=window, out=out) is out
+            np.testing.assert_array_equal(out, ref.astype(dtype))
+        np.testing.assert_array_equal(rssi, before)
+
+
 class TestStrongestBeacon:
     def test_basic(self):
         rssi = np.array([[-70.0, -50.0, -90.0]])
