@@ -14,6 +14,7 @@ reading out texts for A", and so does ours.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ MIN_SEGMENT_S = 5.0
 #: Speaker turn length bounds within a burst, seconds.
 TURN_MIN_S, TURN_MAX_S = 2.0, 9.0
 
+_SILENT_CODES = [int(a) for a in SILENT_ACTIVITIES]
+
 
 @dataclass
 class SpeechArrays:
@@ -51,6 +54,8 @@ class ConversationModel:
     def __init__(self, profiles: tuple[Profile, ...], dt: float = 1.0):
         self.profiles = profiles
         self.dt = float(dt)
+        #: ``(mean talkativeness, speaker cdf)`` by member tuple.
+        self._groups: dict[tuple[int, ...], tuple[float, list[float]]] = {}
 
     def generate(
         self,
@@ -78,10 +83,18 @@ class ConversationModel:
             loudness=np.zeros((n_crew, n_frames), dtype=np.float32),
             machine_speech=np.zeros((n_crew, n_frames), dtype=bool),
         )
-        for seg_start, seg_end in self._segments(rooms, activities):
-            if (seg_end - seg_start) * self.dt < MIN_SEGMENT_S:
-                continue
-            self._fill_segment(out, rooms, activities, seg_start, seg_end, rng, talk_factor)
+        segments = [(s, e) for s, e in self._segments(rooms, activities)
+                    if (e - s) * self.dt >= MIN_SEGMENT_S]
+        # Each kept segment's first frame, gathered once: its rooms,
+        # activities and who may talk, as lists.
+        starts = [s for s, _ in segments]
+        act_starts = activities[:, starts]
+        columns = zip(rooms[:, starts].T.tolist(), act_starts.T.tolist(),
+                      (~np.isin(act_starts, _SILENT_CODES)).T.tolist())
+        turns = array("d")
+        for (s, e), (room_now, act_now, talks) in zip(segments, columns):
+            self._fill_segment(turns, room_now, act_now, talks, s, e, rng, talk_factor)
+        _write_turns(out, turns)
         self._fill_tts(out, rooms, activities, rng)
         return out
 
@@ -100,44 +113,62 @@ class ConversationModel:
         changed = (rooms[:, 1:] != rooms[:, :-1]).any(axis=0)
         if activities is not None:
             changed |= (activities[:, 1:] != activities[:, :-1]).any(axis=0)
-        boundaries = np.concatenate([[0], np.flatnonzero(changed) + 1, [n_frames]])
+        boundaries = np.concatenate([[0], np.flatnonzero(changed) + 1, [n_frames]]).tolist()
         return list(zip(boundaries[:-1], boundaries[1:]))
 
     def _fill_segment(
         self,
-        out: SpeechArrays,
-        rooms: np.ndarray,
-        activities: np.ndarray,
+        turns: array,
+        room_now: list[int],
+        act_now: list[int],
+        talks: list[bool],
         s: int,
         e: int,
         rng: np.random.Generator,
         talk_factor: float,
     ) -> None:
-        room_now = rooms[:, s]
-        act_now = activities[:, s]
-        may_talk = ~np.isin(act_now, [int(a) for a in SILENT_ACTIVITIES])
-        for room in np.unique(room_now):
-            if room < 0:
+        """Run a burst process for every room holding two or more
+        talkers at the segment's first frame, rooms in ascending index
+        and each room's members in crew order (DESIGN.md §13)."""
+        groups: dict[int, list[int]] = {}
+        for member, (room, may_talk) in enumerate(zip(room_now, talks)):
+            if may_talk and room >= 0:
+                groups.setdefault(room, []).append(member)
+        for room in sorted(groups):
+            members = groups[room]
+            if len(members) < 2:
                 continue
-            members = np.flatnonzero((room_now == room) & may_talk)
-            if members.size < 2:
-                continue
-            activity = Activity(int(act_now[members[0]]))
-            duty, burst_mean, loud_db = talk_regime(activity)
+            duty, burst_mean, loud_db = talk_regime(Activity(act_now[members[0]]))
+            mean_talk, cdf = self._group(tuple(members))
             # Chattier groups chat more: scale duty by mean talkativeness
             # (a group around C barely stops talking).
-            mean_talk = float(
-                np.mean([self.profiles[m].talkativeness for m in members])
-            )
             duty = min(0.95, duty * talk_factor * (0.55 + 0.9 * mean_talk))
             if duty <= 0.0:
                 continue
-            self._burst_process(out, members, s, e, duty, burst_mean, loud_db, rng)
+            self._burst_process(turns, members, cdf, s, e, duty, burst_mean, loud_db, rng)
+
+    def _group(self, members: tuple[int, ...]) -> tuple[float, list[float]]:
+        """``(mean talkativeness, speaker cdf)`` of one group, computed once.
+
+        Both keep numpy's reductions: a Python ``sum`` adds in another
+        order and can move the last bit of the duty, and with it every
+        later draw of the day.
+        """
+        stats = self._groups.get(members)
+        if stats is None:
+            talk = [self.profiles[m].talkativeness for m in members]
+            weights = np.array(talk)
+            weights = weights / weights.sum()
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            stats = self._groups[members] = (float(np.mean(talk)), cdf.tolist())
+        return stats
 
     def _burst_process(
         self,
-        out: SpeechArrays,
-        members: np.ndarray,
+        turns: array,
+        speakers: list[int],
+        cdf: list[float],
         s: int,
         e: int,
         duty: float,
@@ -149,15 +180,10 @@ class ConversationModel:
 
         Turn lengths and speakers are scalar draws that take the same
         numbers ``rng.uniform`` and ``rng.choice(n, p=weights)`` take
-        (DESIGN.md §13, the draw-order contract).
+        (DESIGN.md §13, the draw-order contract).  Each turn is appended
+        to ``turns`` as ``speaker, first frame, end frame, loudness``.
         """
         dt = self.dt
-        weights = np.array([self.profiles[m].talkativeness for m in members])
-        weights = weights / weights.sum()
-        cdf = weights.cumsum()
-        cdf /= cdf[-1]
-        cdf = cdf.tolist()
-        speakers = members.tolist()
         gap_mean_s = burst_mean_s * (1.0 - duty) / max(duty, 1e-6)
         t = s
         # Randomize the phase: start mid-gap half the time.
@@ -170,8 +196,7 @@ class ConversationModel:
                 turn_s = TURN_MIN_S + (TURN_MAX_S - TURN_MIN_S) * rng.random()
                 turn_end = min(t + max(1, int(turn_s / dt)), burst_end)
                 speaker = speakers[bisect_right(cdf, rng.random())]
-                out.speaking[speaker, t:turn_end] = True
-                out.loudness[speaker, t:turn_end] = loud_db + rng.normal(0.0, 1.5)
+                turns.extend((speaker, t, turn_end, loud_db + rng.normal(0.0, 1.5)))
                 t = turn_end
             t = burst_end + max(1, int(rng.exponential(gap_mean_s) / dt))
 
@@ -203,3 +228,24 @@ class ConversationModel:
                 window = eligible[t:end]
                 out.machine_speech[row, t:end] = window
                 t = end + max(1, int(rng.exponential(gap_mean_s) / self.dt))
+
+
+def _write_turns(out: SpeechArrays, turns: array) -> None:
+    """Write a day's turns into ``speaking`` and ``loudness`` in one pass.
+
+    ``turns`` holds ``(speaker, first frame, end frame, loudness)`` per
+    turn as float64 quadruples, exact for the integers.  One pass equals
+    writing slice by slice because no cell is written twice: segments
+    are disjoint, a member belongs to one room group per segment, and a
+    burst process's turns advance.  Each float64 loudness is cast to
+    float32 as a slice write casts it.
+    """
+    if not turns:
+        return
+    speaker, start, end, loud = np.frombuffer(turns).reshape(-1, 4).T
+    count = (end - start).astype(np.int64)
+    first = (speaker * out.speaking.shape[1] + start).astype(np.int64)
+    cells = np.repeat(first - (np.cumsum(count) - count), count)
+    cells += np.arange(cells.size)
+    np.put(out.speaking, cells, True)
+    np.put(out.loudness, cells, np.repeat(loud.astype(np.float32), count))

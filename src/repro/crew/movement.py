@@ -10,7 +10,9 @@ shrunken wandering extent around the room center (paper Fig. 3).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +96,10 @@ class _Anchors:
     center: Point
     #: How far a wander target must lie from the current position.
     min_distance: float
+    #: Squared lengths below / above which ``np.hypot`` is surely under /
+    #: at least :attr:`min_distance` (see :meth:`far`).
+    near2: float
+    far2: float
 
     @classmethod
     def of(cls, profile: Profile, room_rect: Rect, min_distance: float = 1.3) -> "_Anchors":
@@ -105,8 +111,13 @@ class _Anchors:
         """
         wander = wander_rect(profile, room_rect)
         cap = 0.7 * float(np.hypot(wander.width, wander.height))
+        m = min(min_distance, cap)
+        # 1e-9 dwarfs the few ulps by which dx*dx + dy*dy and np.hypot
+        # can miss; below 1e-100 every test falls back to np.hypot.
+        near2, far2 = ((m * m * (1 - 1e-9), m * m * (1 + 1e-9)) if m > 1e-100
+                       else (-math.inf, math.inf))
         return cls(wander, room_rect.shrink(WALL_MARGIN_M / 2), room_rect.center,
-                   min(min_distance, cap))
+                   m, near2, far2)
 
     def sample(self, group: bool, rng: np.random.Generator) -> Point:
         """A position to settle at: near the center for a ``group`` activity."""
@@ -125,10 +136,20 @@ class _Anchors:
         (the last of ``tries`` redraws otherwise)."""
         target = self.sample(group, rng)
         for _ in range(tries):
-            if np.hypot(target[0] - pos[0], target[1] - pos[1]) >= self.min_distance:
+            if self.far(target[0] - pos[0], target[1] - pos[1]):
                 break
             target = self.sample(group, rng)
         return target
+
+    def far(self, dx: float, dy: float) -> bool:
+        """``np.hypot(dx, dy) >= min_distance``, decided from the squared
+        length unless it lies within 1e-9 of the threshold."""
+        d2 = dx * dx + dy * dy
+        if d2 > self.far2:
+            return True
+        if d2 < self.near2:
+            return False
+        return bool(np.hypot(dx, dy) >= self.min_distance)
 
 
 def sample_anchor(profile: Profile, room_rect: Rect, activity: Activity,
@@ -137,20 +158,79 @@ def sample_anchor(profile: Profile, room_rect: Rect, activity: Activity,
     return _Anchors.of(profile, room_rect).sample(activity.is_group, rng)
 
 
-def _rasterize_walk(a: Point, waypoints: list[Point], speed: float, dt: float) -> np.ndarray:
-    """Positions at each frame while walking a -> waypoints at ``speed``."""
-    points = [a] + list(waypoints)
-    lengths = [float(np.hypot(q[0] - p[0], q[1] - p[1])) for p, q in zip(points, points[1:])]
-    total = sum(lengths)
-    n_frames = max(1, math.ceil(total / (speed * dt)))
-    dist_at = np.minimum(np.arange(1, n_frames + 1) * speed * dt, total)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    seg_idx = np.searchsorted(cum, dist_at, side="right") - 1
-    seg_idx = np.clip(seg_idx, 0, len(lengths) - 1)
-    seg_len = np.array([length if length > 0 else 1.0 for length in lengths])
-    frac = (dist_at - cum[seg_idx]) / seg_len[seg_idx]
-    xy = np.array(points, dtype=np.float64)
-    return xy[seg_idx] + frac[:, None] * (xy[1:] - xy[:-1])[seg_idx]
+class _Walk(NamedTuple):
+    """A walk through the doors, measured with the raster's arithmetic."""
+
+    frames: int
+    xs: list[float]
+    ys: list[float]
+    #: Distance walked at each point, summed in ``np.cumsum``'s order.
+    cum: list[float]
+    #: Each leg's length, 1.0 for an empty leg: the raster's divisor.
+    seg_len: list[float]
+    total: float
+
+    @classmethod
+    def of(cls, a: Point, waypoints: list[Point], speed: float, dt: float) -> "_Walk":
+        """The walk from ``a`` through ``waypoints`` at ``speed``."""
+        xs = [float(a[0])] + [float(p[0]) for p in waypoints]
+        ys = [float(a[1])] + [float(p[1]) for p in waypoints]
+        lengths = [float(np.hypot(xs[j + 1] - xs[j], ys[j + 1] - ys[j]))
+                   for j in range(len(waypoints))]
+        total = sum(lengths)
+        cum = [0.0]
+        for length in lengths:
+            cum.append(cum[-1] + length)
+        return cls(max(1, math.ceil(total / (speed * dt))), xs, ys, cum,
+                   [length if length > 0 else 1.0 for length in lengths], total)
+
+    def at(self, k: int, speed: float, dt: float) -> Point:
+        """Where frame ``k`` (from 1) lies, as :func:`_rasterize_transits`
+        places it."""
+        d = min(k * speed * dt, self.total)
+        j = min(max(bisect_right(self.cum, d) - 1, 0), len(self.seg_len) - 1)
+        frac = (d - self.cum[j]) / self.seg_len[j]
+        xs, ys = self.xs, self.ys
+        return (xs[j] + frac * (xs[j + 1] - xs[j]), ys[j] + frac * (ys[j + 1] - ys[j]))
+
+
+def _rasterize_transits(plan: FloorPlan, arrays: DayArrays,
+                        transits: list[tuple[int, int, _Walk]],
+                        speed: float, dt: float) -> None:
+    """Write a day's walks through the doors in one array pass, rooms included.
+
+    Each transit is ``(first frame, frames, walk)``.  Frame ``k`` (from
+    1) lies ``min(k * speed * dt, total)`` along the walk.  Rooms are
+    located from these float64 points, not from the float32 copies in
+    ``x``/``y``, which can round across a wall.
+    """
+    if not transits:
+        return
+    first, count, total, legs = (np.array(c) for c in zip(*(
+        (i, n, w.total, len(w.seg_len)) for i, n, w in transits)))
+    width = legs.max() + 1
+
+    def padded(field: str, fill: float) -> np.ndarray:
+        rows = [getattr(w, field) for _, _, w in transits]
+        return np.array([row + [fill] * (width - len(row)) for row in rows])
+
+    xs, ys, cum, seg_len = (padded("xs", 0.0), padded("ys", 0.0),
+                            padded("cum", np.inf), padded("seg_len", 1.0))
+    walk = np.repeat(np.arange(len(transits)), count)
+    k = np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
+    d = np.minimum(k * speed * dt, total[walk])
+    # (cum <= d).sum() is np.searchsorted(cum, d, side="right") per walk.
+    j = np.clip((cum[walk] <= d[:, None]).sum(axis=1) - 1, 0, legs[walk] - 1)
+    frac = (d - cum[walk, j]) / seg_len[walk, j]
+    x0, y0 = xs[walk, j], ys[walk, j]
+    xy = np.column_stack([x0 + frac * (xs[walk, j + 1] - x0),
+                          y0 + frac * (ys[walk, j + 1] - y0)])
+    frames = first[walk] + k - 1
+    arrays.x[frames] = xy[:, 0]
+    arrays.y[frames] = xy[:, 1]
+    arrays.room[frames] = plan.locate_many(xy)
+    arrays.walking[frames] = True
+    arrays.activity[frames] = int(Activity.TRANSIT)
 
 
 def _rasterize_walks(arrays: DayArrays, walks: list[tuple], speed: float, dt: float) -> None:
@@ -159,7 +239,7 @@ def _rasterize_walks(arrays: DayArrays, walks: list[tuple], speed: float, dt: fl
     Each walk is ``(first frame, frames, x, y, dx, dy, length)``: a
     straight leg from ``(x, y)`` toward ``(x + dx, y + dy)``.  Frame
     ``k`` (from 1) lies ``min(k * speed * dt, length)`` along it, the
-    arithmetic :func:`_rasterize_walk` does for a one-leg walk.
+    arithmetic :func:`_rasterize_transits` does for a one-leg walk.
     """
     if not walks:
         return
@@ -199,6 +279,7 @@ class MovementModel:
         """
         arrays = DayArrays.empty(n_frames)
         walks: list[tuple] = []
+        transits: list[tuple[int, int, _Walk]] = []
         plan, dt = self.plan, self.dt
         # Wake up in the bedroom.
         bedroom = plan.room("bedroom")
@@ -226,18 +307,12 @@ class MovementModel:
                 anchors = self._anchors_in(profile, plan.room(slot.room))
                 anchor = anchors.sample(slot.activity.is_group, rng)
                 waypoints = plan.path(origin, slot.room, cur_pos, anchor)
-                walk = _rasterize_walk(cur_pos, waypoints[1:], profile.walk_speed, dt)
-                n_walk = min(len(walk), i1 - i)
-                if n_walk > 0:
-                    seg = walk[:n_walk]
-                    arrays.x[i:i + n_walk] = seg[:, 0]
-                    arrays.y[i:i + n_walk] = seg[:, 1]
-                    arrays.room[i:i + n_walk] = plan.locate_many(seg)
-                    arrays.walking[i:i + n_walk] = True
-                    arrays.activity[i:i + n_walk] = int(Activity.TRANSIT)
-                    cur_pos = (float(seg[-1, 0]), float(seg[-1, 1]))
-                    i += n_walk
-                if n_walk == len(walk):
+                walk = _Walk.of(cur_pos, waypoints[1:], profile.walk_speed, dt)
+                n_walk = min(walk.frames, i1 - i)
+                transits.append((i, n_walk, walk))
+                cur_pos = walk.at(n_walk, profile.walk_speed, dt)
+                i += n_walk
+                if n_walk == walk.frames:
                     cur_room_name = slot.room
                 else:  # slot too short to arrive; stay mid-path
                     cur_room_name = plan.name_of(int(plan.locate(cur_pos)))
@@ -246,6 +321,7 @@ class MovementModel:
                     arrays, walks, profile, slot, i, i1, cur_pos, rng, mobility_factor
                 )
         _rasterize_walks(arrays, walks, profile.walk_speed, dt)
+        _rasterize_transits(plan, arrays, transits, profile.walk_speed, dt)
         return arrays
 
     # -- internals ------------------------------------------------------

@@ -23,7 +23,7 @@ artifact goes through :mod:`repro.exec.integrity`: writes are atomic
 checksum; loads verify it, and a file that fails verification is a
 **miss** whose bytes are preserved under ``<root>/quarantine/`` — never
 silently deleted, never served.  Temp files stranded by a killed writer
-are swept on cache startup.
+are swept when a process first opens the store.
 
 The cache stores only *derived* simulation outputs addressed by the
 config that produced them — it is safe to delete the directory at any
@@ -47,6 +47,9 @@ if TYPE_CHECKING:
 
 log = get_logger("repro.exec.cache")
 
+#: Store roots whose stale temp files this process has swept.
+_SWEPT: set[Path] = set()
+
 
 class MissionCache:
     """Directory-backed store of truth and badge-day artifacts.
@@ -66,8 +69,13 @@ class MissionCache:
         self.quarantined: dict[str, int] = {"truth": 0, "day": 0}
         # A process killed between mkstemp and os.replace strands its
         # temp file; final names only ever appear via os.replace, so the
-        # sweep can never race a concurrent writer's live artifact.
-        integrity.sweep_stale_tmp(self.root)
+        # sweep can never race a concurrent writer's live artifact.  Once
+        # per root and process: the sweep walks the whole store, and a
+        # later sweep here could only find temps of dead processes that
+        # the next process's startup sweeps anyway.
+        if (root := self.root.resolve()) not in _SWEPT:
+            _SWEPT.add(root)
+            integrity.sweep_stale_tmp(self.root)
 
     # -- paths ---------------------------------------------------------
 

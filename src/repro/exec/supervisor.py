@@ -27,7 +27,9 @@ and every decision about the pool is made here:
   the days left.  The supervisor detects; it does not retry.  The mission
   driver finishes the remaining days with its serial loop;
 * **telemetry** — workers snapshot their telemetry per day, and the
-  snapshots join the caller's span in day order before the call ends.
+  snapshots join the caller's span in day order before the call ends;
+* **no orphans** — a worker whose driver dies (SIGKILL included) exits
+  within about :data:`_ORPHAN_POLL_S`.
 
 Genuine exceptions raised by the day computation itself propagate
 unchanged, exactly as on the serial path.
@@ -43,6 +45,7 @@ import concurrent.futures as cf
 import os
 import pickle
 import signal
+import threading
 import time
 from typing import Callable, Optional
 
@@ -85,11 +88,28 @@ _HANG_DAYS: frozenset[int] = frozenset()
 _HANG_S: float = 0.0
 
 
+#: How often a worker checks that its driver still runs, seconds.
+_ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """End this worker once ``parent_pid`` is no longer its parent.
+
+    A worker blocks on its call queue, whose write end it holds too, so a
+    SIGKILLed driver would leave it waiting forever.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
 def _worker_init(payload: bytes, telemetry_enabled: bool,
                  hang_days: frozenset[int], hang_s: float) -> None:
     global _CTX, _HANG_DAYS, _HANG_S
     from repro import obs
 
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="orphan-watch", daemon=True).start()
     obs.reset()  # a forked worker inherits the driver's telemetry stores
     if telemetry_enabled:
         obs.enable()

@@ -182,6 +182,33 @@ def _owner_token(owner: Optional[str]) -> Optional[str]:
     return parts[2] if len(parts) == 3 else None
 
 
+def _build(path: Path) -> None:
+    """Create a WAL registry with its schema at ``path``, atomically.
+
+    The journal mode is stored in the file, so it is set once here, on a
+    temporary file no other connection can see, and nobody switches it
+    later: two connections switching a fresh file to WAL at once made
+    one fail with ``database is locked``.  ``os.link`` publishes the
+    finished file and keeps a registry another creator placed first.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        conn = sqlite3.connect(tmp, isolation_level=None)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.executescript(_SCHEMA)
+        finally:
+            conn.close()  # checkpoints the WAL into the file and removes it
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            pass
+    finally:
+        for leftover in (tmp, Path(f"{tmp}-wal"), Path(f"{tmp}-shm")):
+            leftover.unlink(missing_ok=True)
+
+
 def _count_service(name: str, help_: str, tenant: str, n: float = 1) -> None:
     if _obs.enabled:
         _metrics.counter(f"service.{name}", help_).inc(n, tenant=tenant)
@@ -207,6 +234,10 @@ class MissionRegistry:
              busy_timeout_s: float = 5.0) -> "MissionRegistry":
         """Open (or, with ``create=True``, initialize) a registry.
 
+        A new registry is built under a temporary name and linked into
+        place only once it is a WAL database with its schema, so a
+        client polling ``path`` finds either nothing or a whole registry.
+
         Raises:
             RegistryUnavailable: the path does not hold a registry, or
                 the database is locked past the busy timeout.
@@ -216,13 +247,12 @@ class MissionRegistry:
             raise RegistryUnavailable(
                 f"no service registry at {path} (start one with 'repro serve')")
         try:
-            if create:
-                path.parent.mkdir(parents=True, exist_ok=True)
+            if create and not path.exists():
+                _build(path)
             conn = sqlite3.connect(
                 path, timeout=busy_timeout_s, isolation_level=None,
                 check_same_thread=False,
             )
-            conn.execute("PRAGMA journal_mode=WAL")
             # FULL: a committed transition survives kill -9 of the whole
             # box's power, not just of the process — state is persisted
             # before anything is acknowledged.
@@ -237,7 +267,7 @@ class MissionRegistry:
                     conn.close()
                     raise RegistryUnavailable(
                         f"{path} exists but is not a fleet-service registry")
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, OSError) as exc:
             raise RegistryUnavailable(
                 f"cannot open service registry at {path}: {exc}") from exc
         return cls(conn, path)

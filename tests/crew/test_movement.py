@@ -9,6 +9,7 @@ from repro.crew.movement import (
     DWELL_MEAN_S,
     DayArrays,
     MovementModel,
+    _Anchors,
     sample_anchor,
     wander_rect,
 )
@@ -130,6 +131,49 @@ class TestWalkPass:
             assert (arrays.y[t] == arrays.y[t - 1]).all(), astro
             n_arrivals += t.size
         assert n_arrivals > 100
+
+
+class TestDeferredWrites:
+    """``fill_day`` writes every walk, and the rooms of the walks through
+    the doors, after the day's slot loop.  That equals writing them in
+    place only if no later write of the day touches their frames: each
+    slot's frames must follow the previous slot's."""
+
+    def test_slots_share_their_boundaries(self, truth):
+        tiny = simulate_mission(MissionConfig(
+            days=2, seed=3, daytime_hours=2.0, frame_dt=5.0, events=None))
+        pairs = 0
+        for mission in (truth, tiny):
+            for sched in mission.schedules.values():
+                for slots in sched.slots.values():
+                    for prev, cur in zip(slots, slots[1:]):
+                        # The same float, so both round to the same frame.
+                        assert prev.t1 == cur.t0, (prev, cur)
+                        pairs += 1
+        assert pairs > 1000
+
+
+class TestMinimumDistance:
+    """``_Anchors.far`` decides ``np.hypot(dx, dy) >= min_distance`` from
+    the squared length away from the threshold; a flipped answer would
+    move every later draw of the astronaut-day."""
+
+    @pytest.mark.parametrize("min_distance", [1.3, 0.6, 0.0, 1e-200])
+    def test_far_agrees_with_hypot(self, plan, roster, min_distance):
+        rng = np.random.default_rng(7)
+        for profile in roster.profiles:
+            for room in plan.rooms:
+                anchors = _Anchors.of(profile, room.rect, min_distance)
+                m = anchors.min_distance
+                dx, dy = rng.uniform(-20.0, 20.0, (2, 200))
+                angle = rng.uniform(0.0, 2.0 * np.pi, 200)
+                scale = m * (1.0 + rng.choice(
+                    [0.0, 1e-16, -1e-16, 3e-16, -3e-16, 1e-12, -1e-12, 1e-9, -1e-9,
+                     2e-9, -2e-9], 200))
+                dx = np.r_[dx, scale * np.cos(angle), m, 0.0]
+                dy = np.r_[dy, scale * np.sin(angle), 0.0, 0.0]
+                for a, b in zip(dx.tolist(), dy.tolist()):
+                    assert anchors.far(a, b) == (np.hypot(a, b) >= m), (a, b, m)
 
 
 def _mean_eva_dwell_s(frame_dt: float) -> float:

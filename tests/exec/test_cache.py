@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +178,23 @@ class TestCacheRobustness:
         assert fresh.load_truth(small_cfg) is not None
         assert fresh.stats()["quarantined"]["truth"] == 0
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_second_cache_on_a_root_does_not_walk_it(self, tmp_path, monkeypatch):
+        """The startup sweep walks the whole store, so a process runs it
+        once per root: a long-lived service opens a cache per job."""
+        MissionCache(tmp_path)
+        walked = []
+        real_rglob = Path.rglob
+
+        def rglob(self, *args, **kwargs):
+            walked.append(self)
+            return real_rglob(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "rglob", rglob)
+        MissionCache(tmp_path)
+        assert walked == []
+        MissionCache(tmp_path / "other")
+        assert walked == [tmp_path / "other"]
 
     def test_store_load_round_trip(self, small_cfg, tmp_path):
         from repro.crew.behavior import simulate_mission

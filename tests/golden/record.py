@@ -3,7 +3,7 @@
 Data pins behaviour, not a second implementation: ``golden.json`` holds
 a digest of every crew-truth array of every astronaut-day, every
 per-badge-day summary field, every pairwise array, the SD-card total,
-the cache fingerprints and ``SCHEMA_VERSION`` of two missions, the
+the cache fingerprints and ``SCHEMA_VERSION`` of three missions, the
 top-3 regimes of both reliability sweeps, and the position solve on a
 synthetic input for each of 1-5 beacons per room.  The test
 beside this module recomputes them; an output may change only together
@@ -46,6 +46,14 @@ GOLDEN_PATH = Path(__file__).with_name("golden.json")
 FAULTS_MISSION = MissionConfig(
     days=3, seed=5, frame_dt=5.0, events=None,
     fault_plan=FaultCampaign.reference(days=3, seed=1).generate(),
+)
+
+#: A fleet-service job as the benchmark submits it: 2 days, 2 h of
+#: daytime, 5 s frames, no events.  Short days carry the most
+#: co-location segments per frame, so this mission pins the
+#: conversation model's per-segment path hardest.
+FLEET_MISSION = MissionConfig(
+    days=2, seed=7, daytime_hours=2.0, frame_dt=5.0, events=None,
 )
 
 #: The crew-truth arrays of a :class:`~repro.crew.trace.DayTrace`, pinned
@@ -160,7 +168,9 @@ def main() -> int:
     from tests.conftest import SESSION_MISSION
 
     observed = {"schema_version": str(hashing.SCHEMA_VERSION)}
-    for name, cfg in (("session", SESSION_MISSION), ("faults", FAULTS_MISSION)):
+    missions = (("session", SESSION_MISSION), ("faults", FAULTS_MISSION),
+                ("fleet", FLEET_MISSION))
+    for name, cfg in missions:
         observed.update(mission_digests(name, run_mission(cfg)))
     observed.update(sweep_digests())
     observed.update(solve_digests())

@@ -14,6 +14,7 @@ from repro.exec import hashing
 from repro.experiments.mission import run_mission
 from tests.golden.record import (
     FAULTS_MISSION,
+    FLEET_MISSION,
     load,
     mission_digests,
     solve_digests,
@@ -31,14 +32,14 @@ def golden() -> dict[str, list[str]]:
     return load()
 
 
-@pytest.fixture(scope="module", params=["session", "faults"])
+@pytest.fixture(scope="module", params=["session", "faults", "fleet"])
 def mission(request) -> tuple[str, dict[str, str]]:
     """``(name, observed digests)``; the session mission is the shared fixture."""
     name = request.param
     if name == "session":
         result = request.getfixturevalue("result")
     else:
-        result = run_mission(FAULTS_MISSION)
+        result = run_mission({"faults": FAULTS_MISSION, "fleet": FLEET_MISSION}[name])
     return name, mission_digests(name, result)
 
 

@@ -1,10 +1,11 @@
 """Tier-2 chaos: real SIGKILLs against a live mission, then resume.
 
-Two acceptance scenarios for the crash-safety subsystem:
+Three acceptance scenarios for the crash-safety subsystem:
 
 * the whole driver process group (driver + pool workers) is SIGKILLed
   mid-mission; rerunning it on the same day store restores the stored
   days and completes **bit-identical** to an uninterrupted serial run;
+* the driver alone is SIGKILLed; its pool workers exit on their own;
 * a single pool worker is SIGKILLed out from under a live in-process
   mission; the supervisor salvages, hands the unfinished days back, and
   the mission completes them serially, bit-identically, without any
@@ -155,6 +156,50 @@ def _pool_worker_pids(parent_pid: int) -> list[int]:
             continue
         workers.append(pid)
     return workers
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.tier2
+class TestDriverKilledAlone:
+    def test_pool_workers_exit_with_their_driver(self, tmp_path):
+        """SIGKILL the driver but not its process group: its pool workers,
+        blocked on a call queue nobody will write to again, must exit on
+        their own instead of living on as orphans."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", DRIVER, str(tmp_path / "ckpt")],
+            env=_driver_env(), cwd=str(REPO), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 180.0
+            workers: list[int] = []
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "the driver ended before its pool started"
+                workers = _pool_worker_pids(proc.pid)
+                time.sleep(0.01)
+            assert len(workers) == 2, f"pool workers seen: {workers}"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            orphans = [pid for pid in workers if _running(pid)]
+            assert not orphans, f"pool workers {orphans} outlived their driver"
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=30)
 
 
 @pytest.mark.tier2

@@ -326,3 +326,59 @@ class TestUnavailable:
         finally:
             blocker.execute("ROLLBACK")
             blocker.close()
+
+
+class TestCreation:
+    def test_a_client_never_sees_a_half_made_registry(self, tmp_path, monkeypatch):
+        """A client that opens the path after each statement the creator
+        runs finds no registry or a whole one, and the creator succeeds.
+        When the creator built the registry in place, the client found
+        an empty file with no jobs table, or hit ``database is locked``."""
+        import sqlite3
+
+        path = tmp_path / "registry.db"
+        real_connect = sqlite3.connect
+        seen: list[str] = []
+        probing = False
+
+        def probe() -> None:
+            nonlocal probing
+            probing = True
+            try:
+                MissionRegistry.open(path).close()
+                seen.append("whole")
+            except RegistryUnavailable as exc:
+                seen.append(str(exc))
+            finally:
+                probing = False
+
+        class Spied:
+            """A creator's connection: probes the path after each statement."""
+
+            def __init__(self, conn):
+                self._conn = conn
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+            def execute(self, *args):
+                cursor = self._conn.execute(*args)
+                probe()
+                return cursor
+
+            def executescript(self, script):
+                cursor = self._conn.executescript(script)
+                probe()
+                return cursor
+
+        def connect(*args, **kwargs):
+            conn = real_connect(*args, **kwargs)
+            return conn if probing else Spied(conn)
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        registry = MissionRegistry.open(path, create=True)
+        monkeypatch.undo()
+        registry.close()
+        half_made = [s for s in seen if s != "whole" and "no service registry" not in s]
+        assert not half_made, half_made
+        assert seen and seen[-1] == "whole"
