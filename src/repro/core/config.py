@@ -72,11 +72,12 @@ class ExecutionConfig:
     ever enter a cache key.
 
     Attributes:
-        n_workers: process-pool size for badge-day work; ``"serial"``
-            (or ``1``) runs everything in-process, the historical
-            behaviour and the fallback whenever parallel execution is
-            not applicable (sensing-fault plans, unpicklable overrides)
-            or its pool breaks or hangs.
+        n_workers: number of day-pool worker processes for badge-day
+            work; ``"serial"`` (or ``1``) runs everything in-process,
+            the historical behaviour and the fallback whenever parallel
+            execution is not applicable (sensing-fault plans,
+            unpicklable overrides) or a worker dies or hangs (its day
+            and the days not yet handed out then run serially).
             ``"auto"`` picks for the machine: serial when
             ``os.cpu_count() <= 2``, else one worker per core.
         cache_dir: directory of the content-addressed mission store
@@ -86,11 +87,12 @@ class ExecutionConfig:
             resumes it, bit-identical to an uninterrupted one.
         day_deadline_s: supervisor deadline for one day's worth of work
             in a pool worker; a day that runs longer is treated as hung,
-            the pool is killed, and the days it left run serially.  A
-            day's clock starts when it is handed to a free worker, so
-            queueing never counts, but the first wave's clock includes
-            worker start-up (unpickling the mission context).
-            ``None`` disables hung-worker detection.
+            its worker is killed, and that day and the days not yet
+            handed out run serially once the other workers' days land.
+            A day's clock starts when it is handed to an idle worker, so
+            waiting for a worker never counts, but the first wave's
+            clock includes worker start-up (unpickling the mission
+            context).  ``None`` disables hung-worker detection.
     """
 
     n_workers: int | str = "serial"

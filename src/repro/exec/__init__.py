@@ -7,10 +7,11 @@ computes — lives here:
   :class:`DayOutcome`, on the stack :func:`day_stack` builds), the same
   in the serial loop and in a pool worker;
 - :mod:`repro.exec.supervisor` — both sides of the day pool: which
-  missions may use it, the worker entry points, one pool per call,
-  per-day deadlines, salvage of every finished day, the merge of worker
-  telemetry, and a hand-back of the unfinished days to the serial loop
-  when the pool breaks or hangs;
+  missions may use it, the worker processes it starts and ends itself
+  (one pipe each), one pool per call, per-day deadlines, salvage of
+  every finished day, the merge of worker telemetry, and a hand-back of
+  the unfinished days to the serial loop when a worker dies or hangs,
+  which loses only that worker's day;
 - :mod:`repro.exec.cache` — content-addressed on-disk store of ground
   truth and completed days, the one place a run resumes from;
 - :mod:`repro.exec.checkpoint` — the store's per-fingerprint writer

@@ -6,48 +6,48 @@ and every decision about the pool is made here:
 * **eligibility** — sensing-fault plans and ``"auto"`` missions too
   small for a pool are refused, with the refusal as the ``reason`` of
   :class:`~repro.exec.executor.ExecutorUnavailable`;
-* **the worker side** — each worker unpickles the mission context once
-  and runs :func:`~repro.exec.executor.compute_day` for every day it is
-  handed; a ``worker-crash`` event of the mission's fault plan makes the
+* **the worker side** — the supervisor starts its own worker processes,
+  one pipe each; a worker unpickles the mission context once and runs
+  :func:`~repro.exec.executor.compute_day` for every day index it is
+  sent; a ``worker-crash`` event of the mission's fault plan makes the
   worker computing that day SIGKILL itself;
-* **salvage first** — every day is handed to the caller's
-  ``on_outcome`` hook as soon as its future lands and its worker has
-  the next day, so it reaches the day store before anything riskier
-  happens; a broken pool still yields the days that finished before it
-  broke;
-* **deadlines** — at most one day per worker is in flight, and a day
-  that runs longer than ``ExecutionConfig.day_deadline_s`` from its
-  hand-off is treated as hung and the pool is torn down (SIGKILL on the
-  stuck processes);
-* **hand-back** — a crashed worker (OOM kill, segfault, an injected
-  ``worker-crash`` fault) breaks the whole
-  :class:`~concurrent.futures.ProcessPoolExecutor`; on a broken pool or a
-  hung day the supervisor kills the pool and raises
-  :class:`~repro.exec.executor.ExecutorUnavailable` naming the cause and
-  the days left.  The supervisor detects; it does not retry.  The mission
-  driver finishes the remaining days with its serial loop;
+* **salvage first** — a day is sent only to an idle worker, and each
+  finished day is handed to the caller's ``on_outcome`` hook once its
+  worker has the next day, so it reaches the day store before anything
+  riskier happens;
+* **one loss rule** — a day is lost when its worker ends without
+  answering (OOM kill, segfault, an injected ``worker-crash``, even
+  halfway through its reply) or when it runs longer than
+  ``ExecutionConfig.day_deadline_s`` from its hand-off (its worker is
+  SIGKILLed).  Only that day is lost: no day is handed out after the
+  first loss, the days running on live workers finish and are
+  delivered, and the call raises
+  :class:`~repro.exec.executor.ExecutorUnavailable` naming each lost
+  day with its cause and the days left.  The supervisor detects; it
+  does not retry.  The mission driver finishes the rest serially;
+* **one teardown** — every worker is SIGKILLed and reaped and every
+  pipe closed when the call ends, however it ends;
 * **telemetry** — workers snapshot their telemetry per day, and the
   snapshots join the caller's span in day order before the call ends;
 * **no orphans** — a worker whose driver dies (SIGKILL included) exits
   within about :data:`_ORPHAN_POLL_S`.
 
-Genuine exceptions raised by the day computation itself propagate
-unchanged, exactly as on the serial path.
-
-Timeouts are visible in telemetry (the ``exec.timeouts`` counter and the
-``exec.supervise`` span), and the driver counts each refusal and
-hand-back as ``exec.fallback{reason}``.
+A genuine exception raised by the day computation re-raises in the
+driver with its type and message, as on the serial path, raised from
+the worker's traceback text.  Timeouts are visible in telemetry (the
+``exec.timeouts`` counter and the ``exec.supervise`` span), and the
+driver counts each refusal and hand-back as ``exec.fallback{reason}``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import os
 import pickle
 import signal
 import threading
 import time
-from typing import Callable, Optional
+import traceback
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.badges.pipeline import SensingModels
 from repro.badges.sdcard import SdCardAccountant
@@ -68,25 +68,11 @@ from repro.obs import logging as _logging
 from repro.obs import metrics as _metrics
 from repro.obs import span, tracing
 
+if TYPE_CHECKING:
+    from multiprocessing import Process
+    from multiprocessing.connection import Connection
+
 log = get_logger("repro.exec.supervisor")
-
-#: Poll interval of the future-watching loop, seconds.  Small enough
-#: that deadline detection is prompt, large enough to stay off the CPU.
-_POLL_S = 0.02
-
-
-# -- the worker side ---------------------------------------------------
-#
-# Workers keep the unpickled mission context in module globals; each
-# task ships a day index in and (outcome, telemetry snapshot or None)
-# out.  A worker's fleet/registry serve all its days — safe because
-# day-start state is history-independent (see repro.exec.executor).
-
-_CTX: Optional[tuple] = None
-#: Injected stragglers (tests): days whose worker stalls, and for how long.
-_HANG_DAYS: frozenset[int] = frozenset()
-_HANG_S: float = 0.0
-
 
 #: How often a worker checks that its driver still runs, seconds.
 _ORPHAN_POLL_S = 0.5
@@ -95,17 +81,28 @@ _ORPHAN_POLL_S = 0.5
 def _exit_when_orphaned(parent_pid: int) -> None:
     """End this worker once ``parent_pid`` is no longer its parent.
 
-    A worker blocks on its call queue, whose write end it holds too, so a
-    SIGKILLed driver would leave it waiting forever.
+    Workers forked after this one hold copies of the supervisor's end of
+    its pipe, so a SIGKILLed driver does not close it, and the worker
+    would wait for its next day forever.
     """
     while os.getppid() == parent_pid:
         time.sleep(_ORPHAN_POLL_S)
     os._exit(1)
 
 
-def _worker_init(payload: bytes, telemetry_enabled: bool,
-                 hang_days: frozenset[int], hang_s: float) -> None:
-    global _CTX, _HANG_DAYS, _HANG_S
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception a day raised in a worker."""
+
+
+def _worker(conn: Connection, payload: bytes, telemetry_enabled: bool,
+            hang_days: frozenset[int], hang_s: float) -> None:
+    """Answer each day index ``conn`` brings, until the pipe closes.
+
+    The answer is ``(outcome, telemetry snapshot or None)``, or
+    ``(exception, traceback text)`` when the day raised.  One fleet and
+    registry serve all the worker's days — safe because day-start state
+    is history-independent (see :mod:`repro.exec.executor`).
+    """
     from repro import obs
 
     threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
@@ -114,139 +111,133 @@ def _worker_init(payload: bytes, telemetry_enabled: bool,
     if telemetry_enabled:
         obs.enable()
     cfg, truth, models, localizer = pickle.loads(payload)
-    _CTX = (cfg, truth, models, localizer, *day_stack(cfg, truth))
-    _HANG_DAYS, _HANG_S = hang_days, hang_s
+    assignment, rngs, fleet = day_stack(cfg, truth)
+    while True:
+        try:
+            day = conn.recv()
+        except EOFError:  # the supervisor closed its end
+            return
+        if cfg.fault_plan is not None and day in cfg.fault_plan.worker_crash_days():
+            # Injected worker-crash fault: die the way a real crash does —
+            # no exception, no cleanup, no answer.
+            os.kill(os.getpid(), signal.SIGKILL)
+        if day in hang_days:
+            time.sleep(hang_s)  # past any reasonable day deadline
+        if _obs.enabled:
+            # Per-day snapshots: each carries only its own day's telemetry,
+            # so they merge in day order without double counting.
+            _metrics.registry.reset()
+            tracing.collector.reset()
+            _logging.buffer.reset()
+        try:
+            outcome = compute_day(
+                cfg, truth, day, assignment, models, localizer, fleet, rngs,
+                SdCardAccountant(), plan=None,
+            )
+        except Exception as exc:
+            conn.send((exc, traceback.format_exc()))
+        else:
+            conn.send((outcome, _export.to_dict(include_histogram_values=True)
+                       if _obs.enabled else None))
 
 
-def _worker_day(day: int) -> tuple[DayOutcome, Optional[dict]]:
-    assert _CTX is not None, "worker used before initialization"
-    cfg, truth, models, localizer, assignment, rngs, fleet = _CTX
-    if cfg.fault_plan is not None and day in cfg.fault_plan.worker_crash_days():
-        # Injected worker-crash fault: die the way a real crash does —
-        # no exception, no cleanup, the pool just loses the process.
-        os.kill(os.getpid(), signal.SIGKILL)
-    if day in _HANG_DAYS:
-        time.sleep(_HANG_S)  # past any reasonable day deadline
-    if _obs.enabled:
-        # Per-day snapshots: each carries only its own day's telemetry,
-        # so they merge in day order without double counting.
-        _metrics.registry.reset()
-        tracing.collector.reset()
-        _logging.buffer.reset()
-    outcome = compute_day(
-        cfg, truth, day, assignment, models, localizer, fleet, rngs,
-        SdCardAccountant(), plan=None,
-    )
-    snapshot = (_export.to_dict(include_histogram_values=True)
-                if _obs.enabled else None)
-    return outcome, snapshot
+def _start_workers(n: int, payload: bytes, hang_days: frozenset[int],
+                   hang_s: float) -> list[tuple[Process, Connection]]:
+    """Start ``n`` workers, each with one pipe; keep this process's ends."""
+    import multiprocessing as mp  # here, so the serial path never loads it
 
-
-def _spawn_pool(workers: int, payload: bytes, hang_days: frozenset[int],
-                hang_s: float) -> cf.ProcessPoolExecutor:
+    workers: list[tuple[Process, Connection]] = []
     try:
-        return cf.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(payload, _obs.enabled, hang_days, hang_s),
-        )
-    except (OSError, ValueError, PermissionError) as exc:
-        raise ExecutorUnavailable(f"cannot start process pool: {exc!r}") from exc
+        for _ in range(n):
+            here, there = mp.Pipe()
+            proc = mp.Process(target=_worker, args=(
+                there, payload, _obs.enabled, hang_days, hang_s))
+            proc.start()
+            # Closed before the next fork, so the worker alone holds
+            # ``there`` and its death reads as end-of-file on ``here``.
+            there.close()
+            workers.append((proc, here))
+    except OSError as exc:
+        _stop_workers(workers)
+        raise ExecutorUnavailable(f"cannot start day workers: {exc!r}") from exc
+    return workers
 
 
-def _kill_pool(pool: cf.ProcessPoolExecutor) -> None:
-    """Tear a pool down hard: cancel queued work, SIGKILL the workers.
-
-    Used when a worker is hung past its deadline — a graceful shutdown
-    would wait on the stuck task forever.
-    """
-    procs = list(getattr(pool, "_processes", {}).values())
-    results = getattr(pool, "_result_queue", None)
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        try:
-            proc.kill()
-        except Exception:
-            pass
-    for proc in procs:
-        try:
-            proc.join(timeout=2.0)
-        except Exception:
-            pass
-    # A worker killed while sending its result leaves half a message in
-    # the result pipe, and the pool's manager thread would wait for the
-    # rest forever (and the interpreter with it, at exit).  With every
-    # worker dead, closing this process's write end turns that wait into
-    # end-of-file, which the manager handles as a broken pool.
-    if results is not None:
-        try:
-            results._writer.close()
-        except Exception:
-            pass
+def _stop_workers(workers: list[tuple[Process, Connection]]) -> None:
+    """SIGKILL and reap every worker and close every pipe: the one
+    teardown, for a return, a hand-back and an exception alike."""
+    for proc, _ in workers:
+        proc.kill()
+    for proc, conn in workers:
+        proc.join()
+        conn.close()
 
 
 def _watch(
-    pool: cf.ProcessPoolExecutor,
+    workers: list[tuple[Process, Connection]],
     days: list[int],
-    workers: int,
     deadline_s: Optional[float],
     deliver: Callable[[tuple[DayOutcome, Optional[dict]]], None],
-) -> Optional[str]:
-    """Hand ``days`` to the pool and ``deliver`` each result as it lands.
+) -> dict[int, str]:
+    """Send ``days`` to idle workers and ``deliver`` each as it lands.
 
-    At most ``workers`` days are in flight, so a day handed off starts
-    at once and its deadline clock runs from the hand-off; a day never
-    waits in the pool's call queue on the clock.  Returns ``None`` once
-    every day is delivered, else why the pool has to go: it broke
-    (mid-hand-off included), or a day ran past ``deadline_s``.  Finished
-    futures are delivered even when a sibling broke the pool, so no
-    finished work is discarded.  A genuine task exception propagates
-    unchanged.
+    A day goes only to an idle worker, so its deadline clock runs from
+    the hand-off and never counts a wait for a worker.  A day is lost
+    when its worker ends without answering or when it runs past
+    ``deadline_s`` (its worker is SIGKILLed).  After the first loss no
+    day is handed out; the days still running finish and are delivered.
+    Returns each lost day with its cause, empty once every day is
+    delivered.  A day's genuine exception re-raises here.
     """
-    queued = list(days)
-    running: dict[cf.Future, tuple[int, float]] = {}
-    landed: list[cf.Future] = []
-    broken = False
+    from multiprocessing.connection import wait
+
+    queued, idle = list(days), list(workers)
+    running: dict[Connection, tuple[int, float, Process]] = {}
+    landed: list[tuple[DayOutcome, Optional[dict]]] = []
+    lost: dict[int, str] = {}
     while True:
-        while queued and len(running) < workers and not broken:
+        while queued and idle and not lost:
+            proc, conn = idle.pop()
+            day = queued.pop(0)
             try:
-                fut = pool.submit(_worker_day, queued[0])
-            except cf.process.BrokenProcessPool:
-                broken = True  # a worker died before this hand-off
-                break
-            running[fut] = (queued.pop(0), time.monotonic())
+                conn.send(day)
+            except OSError:  # this idle worker has died
+                lost[day] = "its worker died"
+            else:
+                running[conn] = (day, time.monotonic(), proc)
         # Delivered after the refill, so no worker idles while the
         # caller stores a day.
-        for fut in landed:
-            exc = fut.exception()
-            if exc is None:
-                deliver(fut.result())
-            elif isinstance(exc, cf.process.BrokenProcessPool):
-                broken = True
-            else:
-                raise exc
+        for reply in sorted(landed, key=lambda reply: reply[0].day):
+            deliver(reply)
+        landed.clear()
         if not running:
-            break
-        # A broken pool resolves its siblings almost at once.
-        if not broken and deadline_s is not None:
-            now = time.monotonic()
-            hung = sorted(day for day, t0 in running.values()
-                          if now - t0 > deadline_s)
-            if hung:
-                for day in hung:
-                    log.warning("worker-hung", day=day, deadline_s=deadline_s)
-                    if _obs.enabled:
-                        _metrics.counter(
-                            "exec.timeouts",
-                            "day tasks past their deadline (hung worker killed)",
-                        ).inc()
-                return f"day(s) {hung} ran past the {deadline_s}s deadline"
-        done, _ = cf.wait(running, timeout=_POLL_S,
-                          return_when=cf.FIRST_COMPLETED)
-        landed = sorted(done, key=lambda f: running[f][0])
-        for fut in landed:
-            del running[fut]
-    return "a worker died and broke the process pool" if broken else None
+            return lost
+        timeout = None
+        if deadline_s is not None:
+            first = min(t0 for _, t0, _ in running.values())
+            timeout = max(0.0, first + deadline_s - time.monotonic())
+        for conn in wait(list(running), timeout):
+            day, _, proc = running.pop(conn)
+            try:
+                result, detail = conn.recv()
+            except (EOFError, OSError):  # it ended, even halfway through a reply
+                lost[day] = "its worker died"
+                continue
+            if isinstance(result, BaseException):
+                raise result from _RemoteTraceback(detail)
+            landed.append((result, detail))
+            idle.append((proc, conn))
+        for conn, (day, t0, proc) in list(running.items()):
+            if deadline_s is not None and time.monotonic() - t0 > deadline_s:
+                log.warning("worker-hung", day=day, deadline_s=deadline_s)
+                if _obs.enabled:
+                    _metrics.counter(
+                        "exec.timeouts",
+                        "day tasks past their deadline (hung worker killed)",
+                    ).inc()
+                proc.kill()
+                del running[conn]
+                lost[day] = f"ran past the {deadline_s}s deadline"
 
 
 def run_days_supervised(
@@ -264,21 +255,22 @@ def run_days_supervised(
     """Fan ``days`` across one supervised process pool; outcomes by day.
 
     ``on_outcome`` is invoked for every completed day as soon as it
-    lands — including days salvaged out of a broken pool — so the caller
-    can store it before the supervisor does anything riskier.  A worker
-    SIGKILLs itself on a day a ``worker-crash`` event of ``cfg.fault_plan``
-    strikes, and stalls for ``hang_s`` on one of ``hang_days``.
+    lands — including the days that finish after a sibling's day was
+    lost — so the caller can store it before the supervisor does
+    anything riskier.  A worker SIGKILLs itself on a day a
+    ``worker-crash`` event of ``cfg.fault_plan`` strikes, and stalls for
+    ``hang_s`` on one of ``hang_days``.
 
     Raises :class:`ExecutorUnavailable` when the mission may not use a
     pool (``reason`` ``"auto-small-mission"`` or ``"sensing-fault-plan"``)
     or this pool cannot finish the days: the context does not pickle, the
-    pool cannot start, a worker died, or a day ran past
-    ``execution.day_deadline_s``.  The message names the cause and the
-    days left; every outcome already delivered through ``on_outcome``
-    remains valid, so the caller finishes the rest serially.  No pool is
-    respawned.  Worker telemetry is merged under the span open at the
-    call, in day order, after ``exec.supervise`` closes, before this
-    returns or raises.
+    workers cannot start, or a day was lost because its worker died or
+    it ran past ``execution.day_deadline_s``.  The message names each
+    lost day with its cause and the days left; every outcome already
+    delivered through ``on_outcome`` remains valid, so the caller
+    finishes the rest serially.  No worker is respawned.  Worker
+    telemetry is merged under the span open at the call, in day order,
+    after ``exec.supervise`` closes, before this returns or raises.
     """
     if execution.worker_count < 2:
         raise ConfigError("run_days_supervised needs n_workers >= 2")
@@ -315,23 +307,18 @@ def run_days_supervised(
 
     with span("exec.supervise", days=len(days),
               workers=execution.worker_count):
-        workers = min(execution.worker_count, len(days))
-        pool = _spawn_pool(workers, payload, hang_days, hang_s)
+        workers = _start_workers(min(execution.worker_count, len(days)),
+                                 payload, hang_days, hang_s)
         try:
-            cause = _watch(pool, days, workers, execution.day_deadline_s,
-                           deliver)
-        except BaseException:
-            _kill_pool(pool)
-            raise
-        if cause is None:
-            pool.shutdown(wait=True)
-        else:
-            _kill_pool(pool)
+            lost = _watch(workers, days, execution.day_deadline_s, deliver)
+        finally:
+            _stop_workers(workers)
     # Days land in completion order; their telemetry joins in day order.
     parent_id = caller.span_id if caller is not None else None
     for day in sorted(snapshots):
         _export.merge_snapshot(snapshots[day], parent_span_id=parent_id)
-    if cause is None:
+    if not lost:
         return outcomes
+    causes = "; ".join(f"day {day}: {cause}" for day, cause in sorted(lost.items()))
     left = [day for day in days if day not in outcomes]
-    raise ExecutorUnavailable(f"{cause}; day(s) {left} left unfinished")
+    raise ExecutorUnavailable(f"{causes}; day(s) {left} left unfinished")

@@ -189,8 +189,9 @@ class FaultPlan:
     def worker_crash_days(self) -> frozenset[int]:
         """Mission days whose pool worker an injected crash should kill.
 
-        The worker that picks up such a day dies and breaks the pool;
-        the mission driver then computes the days left serially.
+        The worker that picks up such a day dies without answering, so
+        that day is lost; the mission driver then computes it and the
+        days not yet handed out serially.
         """
         return frozenset(
             int(e.time_s // DAY) + 1

@@ -12,10 +12,12 @@ registry is what makes the service survive ``kill -9``:
   (``service.deduped``).
 * **monotonic state machine** — ``queued → leased → running →
   done | failed | dead``; ``failed`` requeues (with backoff) until the
-  retry budget is spent, ``done``/``dead`` are terminal.  Every
-  transition is a guarded SQL ``UPDATE ... WHERE state IN (...) AND
-  lease_token = ?`` inside an immediate transaction, committed —
-  durably, thanks to ``synchronous=FULL`` — *before* the caller
+  retry budget is spent, ``done``/``dead`` are terminal.  The edges are
+  declared once, in :data:`VALID_TRANSITIONS`, and every logged
+  transition is checked against them.  Every transition is a guarded
+  SQL ``UPDATE ... WHERE state IN (...) AND lease_token = ?`` (or a
+  guarded ``SELECT`` before it) inside an immediate transaction,
+  committed — durably, thanks to ``synchronous=FULL`` — *before* the caller
   acknowledges anything, so a crash can lose at most work, never state.
 * **leases, not locks** — a worker owns a job through a random lease
   token with a heartbeat-extended deadline.  A lease whose deadline
@@ -64,11 +66,13 @@ from repro.service.queue import ACTIVE_STATES
 
 log = get_logger("repro.service.registry")
 
-#: Every legal source → destination edge of the job state machine.
+#: Every legal source → destination edge of the job state machine;
+#: ``"-"`` is the source of a submission.
 VALID_TRANSITIONS = {
+    "-": ("queued",),
     "queued": ("leased",),
     "failed": ("leased", "dead"),
-    "leased": ("running", "queued", "failed", "dead"),
+    "leased": ("running", "done", "queued", "failed", "dead"),
     "running": ("done", "queued", "failed", "dead"),
     "done": (),
     "dead": (),
@@ -424,7 +428,7 @@ class MissionRegistry:
 
     def complete(self, job_id: str, token: str, *, result_path: str,
                  result_digest: str, now: float) -> bool:
-        """``running → done`` guarded by the lease token.
+        """``leased``/``running`` → ``done``, guarded by the lease token.
 
         Returns False (and changes nothing) when the lease was lost —
         a requeued twin may be running, and only the current token
@@ -433,17 +437,19 @@ class MissionRegistry:
         acknowledgement contract.
         """
         with self._tx() as cur:
+            row = cur.execute(
+                "SELECT state, tenant FROM jobs "
+                "WHERE job_id=? AND lease_token=? AND state IN ('leased','running')",
+                (job_id, token)).fetchone()
+            if row is None:
+                return False
+            src, tenant = row
             cur.execute(
                 "UPDATE jobs SET state='done', completions = completions + 1,"
                 " result_path=?, result_digest=?, finished_at=?, error=NULL,"
-                " lease_deadline=NULL "
-                "WHERE job_id=? AND lease_token=? AND state IN ('leased','running')",
-                (result_path, result_digest, now, job_id, token))
-            if cur.rowcount != 1:
-                return False
-            self._log_transition(cur, job_id, now, "running", "done", "")
-            tenant = cur.execute(
-                "SELECT tenant FROM jobs WHERE job_id=?", (job_id,)).fetchone()[0]
+                " lease_deadline=NULL WHERE job_id=?",
+                (result_path, result_digest, now, job_id))
+            self._log_transition(cur, job_id, now, src, "done", "")
         _count_service("completed", "jobs completed exactly once", tenant)
         return True
 
@@ -558,8 +564,9 @@ class MissionRegistry:
 
     def _log_transition(self, cur, job_id: str, now: float, src: str,
                         dst: str, detail: str) -> None:
-        if dst not in ("queued", "leased", "running", "done", "failed", "dead"):
-            raise StateTransitionError(f"unknown job state {dst!r}")
+        if dst not in VALID_TRANSITIONS.get(src, ()):
+            raise StateTransitionError(
+                f"job {job_id}: no transition {src!r} -> {dst!r}")
         cur.execute(
             "INSERT INTO transitions (job_id, at, src, dst, detail) "
             "VALUES (?, ?, ?, ?, ?)", (job_id, now, src, dst, detail))
@@ -612,7 +619,7 @@ class MissionRegistry:
         with self._lock:
             rows = self._conn.execute(
                 "SELECT state, COUNT(*) FROM jobs GROUP BY state").fetchall()
-        out = {state: 0 for state in VALID_TRANSITIONS}
+        out = {state: 0 for state in VALID_TRANSITIONS if state != "-"}
         out.update(dict(rows))
         return out
 

@@ -1,13 +1,16 @@
 """Worker supervision: crash salvage, deadlines, hand-back to serial.
 
 These tests inject real executor-level faults — workers that SIGKILL
-themselves or stall — and assert the supervisor's contract: one pool per
-call, no completed work is ever lost, a broken or hung pool hands its
-unfinished days back, and the mission driver finishes them serially,
+themselves, stall, raise or die halfway through a reply — and assert the
+supervisor's contract: one pool per call, a dead or hung worker loses
+only its own day, the days left are handed back, no worker outlives the
+call, and the mission driver finishes the handed-back days serially,
 bit-identical to a serial run.
 """
 
 import dataclasses
+import os
+import struct
 import time
 from collections import Counter
 
@@ -26,6 +29,7 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.localization.pipeline import Localizer
 
 from tests.exec.test_executor import assert_bit_identical
+from tests.integration.test_crash_recovery import _pool_worker_pids
 
 FAST = ExecutionConfig(n_workers=2)
 #: Clears real per-day compute (~1 s at frame_dt=5) plus worker start-up,
@@ -38,12 +42,25 @@ def cfg():
     return MissionConfig(days=3, seed=5, frame_dt=5.0, events=None)
 
 
-@pytest.fixture(scope="module")
-def stack(cfg):
+def _stack(cfg):
     truth = simulate_mission(cfg)
     models = SensingModels.default(cfg, truth.plan)
-    localizer = Localizer(truth.plan, models.beacons)
-    return truth, models, localizer
+    return truth, models, Localizer(truth.plan, models.beacons)
+
+
+@pytest.fixture(scope="module")
+def stack(cfg):
+    return _stack(cfg)
+
+
+@pytest.fixture(scope="module")
+def cfg4():
+    return MissionConfig(days=4, seed=5, frame_dt=5.0, events=None)
+
+
+@pytest.fixture(scope="module")
+def stack4(cfg4):
+    return _stack(cfg4)
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +74,18 @@ def _supervise(cfg, stack, days, execution=FAST, **kwargs):
                                execution, **kwargs)
 
 
+def _workers():
+    """This process's worker children, zombies included."""
+    return set(_pool_worker_pids(os.getpid()))
+
+
 class TestHappyPath:
     def test_no_faults_completes_all_days(self, cfg, stack):
+        before = _workers()
         outcomes = _supervise(cfg, stack, [2, 3])
         assert sorted(outcomes) == [2, 3]
         assert all(outcomes[d].day == d for d in outcomes)
+        assert _workers() <= before  # every worker reaped
 
     def test_on_outcome_sees_every_day(self, cfg, stack):
         seen = []
@@ -83,32 +107,35 @@ class TestHappyPath:
 
 
 class TestCrashRecovery:
-    def test_worker_crash_salvages_and_hands_back(self, cfg, stack,
+    def test_worker_crash_salvages_and_hands_back(self, cfg4, stack4,
                                                   monkeypatch):
         import repro.exec.supervisor as sup
 
-        spawns = []
-        original = sup._spawn_pool
+        starts = []
+        original = sup._start_workers
 
         def counted(*args):
-            spawns.append(args[0])
+            starts.append(args[0])
             return original(*args)
 
-        monkeypatch.setattr(sup, "_spawn_pool", counted)
+        monkeypatch.setattr(sup, "_start_workers", counted)
         plan = FaultPlan.build(
             FaultEvent(time_s=2.2 * DAY, action="worker-crash")  # day 3
         )
         harvested = []
-        # Day 3's injected crash breaks the one pool; the error names the
-        # days left for the caller's serial loop, and only a day that
-        # finished first can have been handed over.
-        with pytest.raises(ExecutorUnavailable,
-                           match=r"broke .*day\(s\) \[(2, )?3\] left") as err:
-            _supervise(dataclasses.replace(cfg, fault_plan=plan), stack,
-                       [2, 3], on_outcome=lambda o: harvested.append(o.day))
+        before = _workers()
+        # Day 3's injected crash loses only day 3: day 2's worker lives
+        # and delivers it, no day is handed out after the loss, and the
+        # error names the days left for the caller's serial loop.
+        with pytest.raises(ExecutorUnavailable, match=(
+                r"^day 3: its worker died; day\(s\) \[3, 4\] left unfinished$"
+        )) as err:
+            _supervise(dataclasses.replace(cfg4, fault_plan=plan), stack4,
+                       [2, 3, 4], on_outcome=lambda o: harvested.append(o.day))
         assert err.value.reason == "executor-unavailable"
-        assert len(spawns) == 1
-        assert set(harvested) <= {2}
+        assert len(starts) == 1
+        assert harvested == [2]
+        assert _workers() <= before
 
     def test_crash_run_is_bit_identical(self, cfg, serial_result):
         plan = FaultPlan.build(
@@ -151,14 +178,19 @@ class TestCrashRecovery:
 class TestDeadlines:
     def test_hung_worker_is_killed_and_handed_back(self, cfg, stack):
         harvested = []
+        before = _workers()
         t0 = time.monotonic()
-        with pytest.raises(ExecutorUnavailable, match="deadline"):
+        with pytest.raises(ExecutorUnavailable, match=(
+                r"^day 2: ran past the 4.0s deadline; day\(s\) \[2\] left"
+        )):
             _supervise(cfg, stack, [2, 3], DEADLINE,
                        on_outcome=lambda o: harvested.append(o.day),
                        hang_days=frozenset({2}), hang_s=60.0)
-        # The hung worker was SIGKILLed, not waited out.
+        # The hung worker was SIGKILLed, not waited out, and its sibling's
+        # day was delivered.
         assert time.monotonic() - t0 < 30.0
-        assert set(harvested) <= {3}
+        assert harvested == [3]
+        assert _workers() <= before
 
     def test_hung_mission_is_bit_identical(self, cfg, serial_result,
                                            monkeypatch):
@@ -186,9 +218,7 @@ class TestDeadlines:
         """Three 1 s days on two workers: the third waits for a free
         worker, and that wait must not count against its deadline."""
         cfg = MissionConfig(days=4, seed=5, frame_dt=60.0, events=None)
-        truth = simulate_mission(cfg)
-        models = SensingModels.default(cfg, truth.plan)
-        stack = truth, models, Localizer(truth.plan, models.beacons)
+        stack = _stack(cfg)
         execution = dataclasses.replace(FAST, day_deadline_s=1.6)
         outcomes = _supervise(cfg, stack, [2, 3, 4], execution,
                               hang_days=frozenset({2, 3, 4}), hang_s=1.0)
@@ -243,30 +273,46 @@ class TestTelemetryMerge:
         assert pool_counters == serial_counters
 
 
-class TestKillPool:
-    def test_half_sent_result_does_not_hang_the_pool(self):
-        """A worker killed while sending its result leaves half a message
-        in the result pipe; killing the pool must still end the pool's
-        manager thread, which the interpreter joins at exit."""
-        import concurrent.futures as cf
-        import os
-        import struct
-
+class TestWorkerFailures:
+    def test_day_exception_reraises_with_worker_traceback(
+            self, cfg, stack, monkeypatch):
+        """A day that raises in a worker raises in the driver, as on the
+        serial path, with the worker's traceback text attached."""
         import repro.exec.supervisor as sup
 
-        pool = cf.ProcessPoolExecutor(max_workers=1)
-        pool.submit(int).result()  # worker and manager thread are up
-        manager = pool._executor_manager_thread
-        fd = pool._result_queue._writer.fileno()
-        # A frame header promising 1000 bytes, and one byte of them.
-        os.write(fd, struct.pack("!i", 1000) + b"x")
-        sup._kill_pool(pool)
-        manager.join(timeout=10.0)
-        stuck = manager.is_alive()
-        if stuck:  # finish the frame so the thread ends with the test
-            os.write(fd, b"x" * 999)
-            manager.join(timeout=10.0)
-        assert not stuck
+        def exploding_day(cfg_, truth, day, *args, **kwargs):
+            raise ValueError(f"sensor model exploded on day {day}")
+
+        monkeypatch.setattr(sup, "compute_day", exploding_day)
+        before = _workers()
+        t0 = time.monotonic()
+        with pytest.raises(ValueError,
+                           match=r"^sensor model exploded on day [23]$") as err:
+            _supervise(cfg, stack, [2, 3])
+        assert time.monotonic() - t0 < 30.0
+        assert type(err.value) is ValueError
+        assert "exploding_day" in str(err.value.__cause__)
+        assert _workers() <= before
+
+    def test_half_sent_reply_is_a_lost_day(self, cfg, stack, monkeypatch):
+        """A worker that dies halfway through its reply leaves half a
+        message in its pipe: its day is lost, and the call does not wait
+        for the rest."""
+        import repro.exec.supervisor as sup
+
+        def half_reply(conn, *args):
+            conn.recv()
+            # A frame header promising 1000 bytes, and one byte of them.
+            os.write(conn.fileno(), struct.pack("!i", 1000) + b"x")
+            os._exit(0)
+
+        monkeypatch.setattr(sup, "_worker", half_reply)
+        t0 = time.monotonic()
+        with pytest.raises(ExecutorUnavailable, match=(
+                r"^day 2: its worker died; day 3: its worker died; "
+                r"day\(s\) \[2, 3\] left unfinished$")):
+            _supervise(cfg, stack, [2, 3])
+        assert time.monotonic() - t0 < 10.0
 
 
 class TestBoundedDegradation:
@@ -346,7 +392,7 @@ class TestBoundedDegradation:
         def pool_forbidden(*args, **kwargs):
             raise AssertionError("small auto mission must not start a pool")
 
-        monkeypatch.setattr(sup, "_spawn_pool", pool_forbidden)
+        monkeypatch.setattr(sup, "_start_workers", pool_forbidden)
         obs.reset()
         obs.enable()
         try:

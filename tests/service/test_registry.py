@@ -13,6 +13,7 @@ from repro.service import (
     MissionRegistry,
     QueueFullError,
     RegistryUnavailable,
+    StateTransitionError,
     UnknownJobError,
 )
 from repro.service.registry import process_owner
@@ -187,6 +188,38 @@ class TestRetriesAndDeadLetters:
                           result_digest="d", now=120.0)
         dsts = [dst for (_, _, dst, _) in registry.transitions(job.job_id)]
         assert dsts == ["queued", "leased", "done"]
+
+    @pytest.mark.parametrize("run_first", [False, True],
+                             ids=["lease-complete", "lease-run-complete"])
+    def test_history_names_only_states_the_job_entered(self, registry,
+                                                       run_first):
+        submit(registry, now=100.0)
+        job = lease(registry, now=110.0)
+        if run_first:
+            registry.mark_running(job.job_id, job.lease_token, now=115.0)
+        assert registry.complete(job.job_id, job.lease_token,
+                                 result_path="r", result_digest="d", now=120.0)
+        ran = [(115.0, "leased", "running", "")] if run_first else []
+        assert registry.transitions(job.job_id) == [
+            (100.0, "-", "queued", "submitted"),
+            (110.0, "queued", "leased", "w"),
+            *ran,
+            (120.0, "running" if run_first else "leased", "done", ""),
+        ]
+
+    def test_undeclared_edge_is_refused(self, registry, monkeypatch):
+        """Every logged edge is checked against ``VALID_TRANSITIONS``: one
+        the table does not list rolls its transition back."""
+        import repro.service.registry as registry_mod
+
+        monkeypatch.setitem(registry_mod.VALID_TRANSITIONS, "leased",
+                            ("running",))
+        submit(registry)
+        job = lease(registry)
+        with pytest.raises(StateTransitionError, match="'leased' -> 'done'"):
+            registry.complete(job.job_id, job.lease_token, result_path="r",
+                              result_digest="d", now=120.0)
+        assert registry.get(job.job_id).state == "leased"
 
 
 class TestRecovery:
